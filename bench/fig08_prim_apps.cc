@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include "common/stats.h"
 
 #include "bench/bench_util.h"
@@ -12,9 +13,10 @@
 namespace vpim::bench {
 namespace {
 
+// A --benchmark_filter run may leave either side of a row empty.
 struct Row {
-  prim::AppResult native;
-  prim::AppResult vpim;
+  std::optional<prim::AppResult> native;
+  std::optional<prim::AppResult> vpim;
 };
 std::map<std::pair<std::string, std::uint32_t>, Row> g_rows;
 std::vector<BenchPoint> g_points;
@@ -57,8 +59,10 @@ void print_summary() {
       if (it == g_rows.end()) continue;
       const Row& row = it->second;
       for (const bool virtualized : {false, true}) {
-        const prim::AppResult& r =
+        const std::optional<prim::AppResult>& side =
             virtualized ? row.vpim : row.native;
+        if (!side) continue;
+        const prim::AppResult& r = *side;
         std::printf(
             "%-9s %5u | %9.1fms %9.1fms %9.1fms %9.1fms | %9.1fms |",
             (std::string(virtualized ? "v:" : "n:") + app).c_str(), dpus,
@@ -66,8 +70,8 @@ void print_summary() {
             ns_to_ms(r.breakdown[Segment::kDpu]),
             ns_to_ms(r.breakdown[Segment::kInterDpu]),
             ns_to_ms(r.breakdown[Segment::kDpuCpu]), ns_to_ms(r.total()));
-        if (virtualized) {
-          const double ov = ratio(row.vpim.total(), row.native.total());
+        if (virtualized && row.native) {
+          const double ov = ratio(row.vpim->total(), row.native->total());
           std::printf(" %7.2fx |", ov);
           (dpus == 60 ? overheads60 : overheads480).push_back(ov);
         } else {

@@ -1,6 +1,7 @@
 #include "upmem/kernel.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "upmem/dpu.h"
 
@@ -11,20 +12,34 @@ namespace {
 // pays a roughly constant engine-programming cost per transfer on top of
 // the streaming time.
 constexpr std::uint64_t kDmaFixedCycles = 64;
+
+// WRAM stage buffers kept between launches on one host thread, so a
+// kernel's ~50 mem_alloc calls per Dpu::run reuse capacity instead of
+// hitting the heap. A DpuCtx takes the whole pool while it lives (a nested
+// context would start from an empty one) and hands it back on destruction.
+thread_local std::vector<std::vector<std::uint8_t>> t_stage_buffers;
 }  // namespace
 
 DpuCtx::DpuCtx(Dpu& dpu, std::uint32_t nr_tasklets, const CostModel& cost)
-    : dpu_(dpu), nr_tasklets_(nr_tasklets), cost_(cost), instr_(nr_tasklets) {
+    : dpu_(dpu),
+      nr_tasklets_(nr_tasklets),
+      cost_(cost),
+      instr_(nr_tasklets),
+      buffers_(std::exchange(t_stage_buffers, {})) {
   VPIM_CHECK(nr_tasklets >= 1 && nr_tasklets <= kMaxTasklets,
              "tasklet count out of range");
 }
+
+DpuCtx::~DpuCtx() { t_stage_buffers = std::move(buffers_); }
 
 std::span<std::uint8_t> DpuCtx::mem_alloc(std::uint32_t bytes) {
   VPIM_CHECK(heap_used_ + bytes <= dpu_.wram_heap_size(),
              "WRAM heap exhausted");
   heap_used_ += bytes;
-  allocations_.emplace_back(bytes, 0);
-  return {allocations_.back().data(), allocations_.back().size()};
+  if (nr_allocations_ == buffers_.size()) buffers_.emplace_back();
+  std::vector<std::uint8_t>& buf = buffers_[nr_allocations_++];
+  buf.assign(bytes, 0);
+  return {buf.data(), buf.size()};
 }
 
 void DpuCtx::mram_read(std::uint64_t mram_addr,
@@ -59,7 +74,7 @@ void DpuCtx::begin_stage() {
   // them as per-stage statics on real hardware. Cross-stage communication
   // goes through symbols or MRAM.
   heap_used_ = 0;
-  allocations_.clear();
+  nr_allocations_ = 0;
 }
 
 std::uint64_t DpuCtx::stage_cycles() const {

@@ -47,12 +47,17 @@ inline constexpr std::string_view kMramHeapSymbol = "__sys_used_mram_end";
 class DpuCtx {
  public:
   DpuCtx(Dpu& dpu, std::uint32_t nr_tasklets, const CostModel& cost);
+  ~DpuCtx();
+  DpuCtx(const DpuCtx&) = delete;
+  DpuCtx& operator=(const DpuCtx&) = delete;
 
   std::uint32_t me() const { return tasklet_; }
   std::uint32_t nr_tasklets() const { return nr_tasklets_; }
 
   // Bump allocation from the shared 64 KiB WRAM heap (mem_alloc in the
-  // SDK). Reset between launches. Throws if WRAM is exhausted.
+  // SDK). Reset at every stage barrier. Throws if WRAM is exhausted. Each
+  // span is a separate, zeroed, malloc-aligned buffer; the buffers are
+  // recycled across stages and launches on the same host thread.
   std::span<std::uint8_t> mem_alloc(std::uint32_t bytes);
 
   // MRAM <-> WRAM DMA; charges DMA cycles to the calling tasklet.
@@ -90,7 +95,10 @@ class DpuCtx {
   std::uint32_t tasklet_ = 0;
   std::uint32_t heap_used_ = 0;
   std::vector<std::uint64_t> instr_;  // per-tasklet issued instructions
-  std::vector<std::vector<std::uint8_t>> allocations_;
+  // Stage buffers, borrowed from the host thread's pool for the lifetime
+  // of this context; the first nr_allocations_ are live in this stage.
+  std::vector<std::vector<std::uint8_t>> buffers_;
+  std::size_t nr_allocations_ = 0;
 };
 
 using StageFn = std::function<void(DpuCtx&)>;

@@ -1,5 +1,6 @@
 #include "upmem/mram.h"
 
+#include <bit>
 #include <cstring>
 
 #include "common/error.h"
@@ -35,6 +36,8 @@ void MramBank::read(std::uint64_t offset, std::span<std::uint8_t> out) const {
 
 void MramBank::write(std::uint64_t offset, std::span<const std::uint8_t> in) {
   check_range(offset, in.size());
+  if (in.empty()) return;
+  ensure_table((offset + in.size() - 1) / kMramPageSize + 1);
   std::uint64_t remaining = in.size();
   std::uint64_t dst = offset;
   const std::uint8_t* src = in.data();
@@ -56,7 +59,7 @@ void MramBank::adopt_pages(std::uint64_t offset,
   const std::uint64_t first = offset / kMramPageSize;
   VPIM_CHECK(first + pages.size() <= kMramPages,
              "shared-page adoption out of bounds");
-  ensure_table();
+  ensure_table(first + pages.size());
   for (std::size_t i = 0; i < pages.size(); ++i) {
     pages_[first + i] = pages[i];
   }
@@ -79,9 +82,7 @@ std::vector<MramPageRef> MramBank::build_pages(
   return pages;
 }
 
-void MramBank::clear() {
-  for (auto& page : pages_) page.reset();
-}
+void MramBank::clear() { pages_ = std::vector<MramPageRef>(); }
 
 std::vector<std::pair<std::uint32_t, MramPageRef>> MramBank::export_pages()
     const {
@@ -95,9 +96,9 @@ std::vector<std::pair<std::uint32_t, MramPageRef>> MramBank::export_pages()
 void MramBank::import_pages(
     const std::vector<std::pair<std::uint32_t, MramPageRef>>& pages) {
   clear();
-  if (!pages.empty()) ensure_table();
   for (const auto& [index, page] : pages) {
     VPIM_CHECK(index < kMramPages, "imported page out of bounds");
+    ensure_table(std::uint64_t{index} + 1);
     pages_[index] = page;
   }
 }
@@ -110,12 +111,17 @@ std::size_t MramBank::resident_pages() const {
   return n;
 }
 
-void MramBank::ensure_table() {
-  if (pages_.empty()) pages_.resize(kMramPages);
+void MramBank::ensure_table(std::uint64_t nr_pages) {
+  if (pages_.size() >= nr_pages) return;
+  // Kernels write MRAM block by block, so capacity grows in powers of two
+  // (kMramPages is one, so a table never outgrows the bank). Rounding up
+  // also means a bank first touched past half its size gets the full table
+  // at once, not a near-full one it would soon reallocate.
+  pages_.reserve(std::bit_ceil(nr_pages));
+  pages_.resize(nr_pages);
 }
 
 MramPage& MramBank::page_for_write(std::uint64_t page_index) {
-  ensure_table();
   MramPageRef& ref = pages_[page_index];
   if (!ref) {
     ref = std::make_shared<MramPage>();

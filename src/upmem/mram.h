@@ -23,11 +23,12 @@ using MramPageRef = std::shared_ptr<MramPage>;
 
 class MramBank {
  public:
-  // The page table itself is lazy too: a fresh bank holds an empty vector
-  // and grows it to kMramPages on the first write/adopt/import. Machines
-  // construct 8 ranks x 64 banks up front, and a 16384-slot table per bank
-  // is real memory and construction time for banks most workloads never
-  // touch.
+  // The page table itself is sized to the bank's high-water mark: it holds
+  // one slot per page up to the highest page ever written, adopted or
+  // imported, and clear() releases it. Machines construct 8 ranks x 64
+  // banks up front, and a full 16384-slot table per bank (256 KiB) is real
+  // memory, zeroing and teardown time for pages most kernels never touch.
+  // Slots past the table's end read as absent (zero) pages.
   MramBank() = default;
 
   // Reads `out.size()` bytes starting at `offset`; absent pages read as 0.
@@ -49,7 +50,8 @@ class MramBank {
   // in virtual time by the caller.
   void copy_from(const MramBank& other) { pages_ = other.pages_; }
 
-  // Drops every page (rank reset; content reads back as zero).
+  // Drops every page and releases the page table (rank reset; content
+  // reads back as zero).
   void clear();
 
   // Number of materialized (non-shared-null) pages, for memory accounting.
@@ -63,9 +65,10 @@ class MramBank {
 
  private:
   MramPage& page_for_write(std::uint64_t page_index);
-  void ensure_table();
+  // Grows the table to hold at least `nr_pages` slots (never shrinks).
+  void ensure_table(std::uint64_t nr_pages);
 
-  std::vector<MramPageRef> pages_;  // empty until the first write
+  std::vector<MramPageRef> pages_;  // up to the highest touched page
 };
 
 }  // namespace vpim::upmem

@@ -185,7 +185,7 @@ void Manager::observe(bool do_resets) {
         } else if (e.activated ||
                    drv_.map_generation(r) != e.alloc_map_gen ||
                    (e.miss_pending &&
-                    std::chrono::steady_clock::now() - e.unmapped_since >=
+                    config_.release_clock() - e.unmapped_since >=
                         config_.unactivated_release_grace)) {
           // The holder released the rank without telling us (by design,
           // §3.5): its mapping vanished from sysfs.
@@ -203,7 +203,7 @@ void Manager::observe(bool do_resets) {
           // First unmapped observation of a never-mapped allocation: arm
           // the real-time grace instead of reclaiming outright.
           e.miss_pending = true;
-          e.unmapped_since = std::chrono::steady_clock::now();
+          e.unmapped_since = config_.release_clock();
         }
         break;
       case RankState::kNaav:

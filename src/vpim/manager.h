@@ -22,6 +22,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -69,6 +70,12 @@ struct ManagerConfig {
   // recycling a rank whose holder is still on its way to map_rank.
   std::chrono::nanoseconds unactivated_release_grace =
       std::chrono::milliseconds(50);
+  // The real-time source the grace is measured against. It is the only
+  // real-time input to the Manager; tests inject a manual clock so the
+  // grace expires only when they advance it, never because the host ran
+  // slowly.
+  std::function<std::chrono::steady_clock::time_point()> release_clock =
+      [] { return std::chrono::steady_clock::now(); };
   // Wrank hosting (ISSUE 9): how many wrank slots one physical rank holds
   // under oversubscription. The Manager maps a rank in its own name while
   // it hosts wranks; an emptied rank goes back through the NANA reset.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <thread>
 
 #include "tests/testutil.h"
@@ -17,6 +19,22 @@ ManagerConfig fast_config(bool charge = true) {
   cfg.charge_time = charge;
   return cfg;
 }
+
+// A release clock that moves only when the test advances it, so the
+// never-mapped release grace cannot expire because the host ran slowly.
+class ManualReleaseClock {
+ public:
+  std::function<std::chrono::steady_clock::time_point()> source() {
+    return [this] {
+      return std::chrono::steady_clock::time_point(
+          std::chrono::nanoseconds(now_ns_.load()));
+    };
+  }
+  void advance(std::chrono::nanoseconds d) { now_ns_ += d.count(); }
+
+ private:
+  std::atomic<std::int64_t> now_ns_{0};
+};
 
 TEST(Manager, AllocatesRoundRobin) {
   test::TestRig rig(test::small_machine());  // 2 ranks
@@ -251,6 +269,27 @@ TEST(Manager, RetriedRequestThatSucceedsIsNotCountedFailed) {
   EXPECT_EQ(mgr.stats().failed_requests, 0u);
 }
 
+TEST(Manager, NeverMappedRankIsReclaimedOnlyAfterTheGrace) {
+  test::TestRig rig(test::small_machine());
+  ManualReleaseClock clock;
+  ManagerConfig cfg = fast_config();
+  cfg.release_clock = clock.source();
+  Manager mgr(rig.drv, cfg);
+  auto r = mgr.request_rank("vm-a");
+  ASSERT_TRUE(r.has_value());
+  // The holder never maps. The first unmapped pass arms the grace; no
+  // number of passes reclaims the rank until the grace has elapsed.
+  for (int pass = 0; pass < 5; ++pass) mgr.observe();
+  clock.advance(cfg.unactivated_release_grace - std::chrono::nanoseconds(1));
+  mgr.observe();
+  EXPECT_EQ(mgr.state(*r), RankState::kAllo);
+  EXPECT_EQ(mgr.stats().releases_observed, 0u);
+  clock.advance(std::chrono::nanoseconds(1));
+  mgr.observe();
+  EXPECT_EQ(mgr.stats().releases_observed, 1u);
+  EXPECT_EQ(mgr.state(*r), RankState::kNaav);  // reset in the same pass
+}
+
 TEST(Manager, MigrationAndSeizureCountersAccumulate) {
   test::TestRig rig(test::small_machine());
   Manager mgr(rig.drv, fast_config());
@@ -278,9 +317,15 @@ TEST(Manager, MigrationAndSeizureCountersAccumulate) {
 
 TEST(ManagerService, ConcurrentRequestsNeverDoubleAllocate) {
   test::TestRig rig;  // 8 ranks
+  // The release clock never moves: a holder stuck behind driver_mu keeps
+  // its rank however long the host takes, so only a real double
+  // allocation can trip `overlap`. Every holder maps, and the driver's
+  // map generation exposes each release to the observer.
+  ManualReleaseClock clock;
   ManagerConfig cfg;
   cfg.charge_time = false;
   cfg.max_attempts = 50;
+  cfg.release_clock = clock.source();
   Manager mgr(rig.drv, cfg);
   ManagerService service(mgr, 8, std::chrono::milliseconds(1));
 
@@ -301,9 +346,12 @@ TEST(ManagerService, ConcurrentRequestsNeverDoubleAllocate) {
         std::lock_guard lock(driver_mu);
         auto mapping = rig.drv.map_rank(*rank, owner);
         std::this_thread::sleep_for(std::chrono::microseconds(200));
-        // mapping unmaps here (lock still held)
+        // Leave the holder count before the unmap: once unmapped the rank
+        // may be legitimately recycled to another worker, which could
+        // otherwise count in before this thread counts out.
+        holders[*rank].fetch_sub(1);
+        mapping.unmap();
       }
-      holders[*rank].fetch_sub(1);
       ++successes;
       // Observer (running every 1 ms) will recycle the rank.
     }

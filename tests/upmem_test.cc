@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <numeric>
 
 #include "common/rng.h"
@@ -67,6 +69,112 @@ TEST(Mram, ClearDropsPages) {
   std::vector<std::uint8_t> out(8);
   bank.read(0, out);
   for (auto b : out) EXPECT_EQ(b, 0);
+}
+
+// The page table only grows to the highest touched page; these pin that
+// the bounds, zero-fill and copy-on-write contract still covers the whole
+// 64 MiB bank.
+
+TEST(Mram, LastByteWritableAndOnePastThrows) {
+  MramBank bank;
+  const std::vector<std::uint8_t> one = {0x7E};
+  bank.write(kMramSize - 1, one);
+  std::vector<std::uint8_t> out(1);
+  bank.read(kMramSize - 1, out);
+  EXPECT_EQ(out, one);
+  EXPECT_EQ(bank.resident_pages(), 1u);
+  EXPECT_THROW(bank.write(kMramSize, one), VpimError);
+  std::vector<std::uint8_t> two = {1, 2};
+  EXPECT_THROW(bank.write(kMramSize - 1, two), VpimError);
+  EXPECT_THROW(bank.read(kMramSize - 1, two), VpimError);
+}
+
+TEST(Mram, ReadSpanningHighWaterMarkReturnsZerosPastIt) {
+  MramBank bank;
+  // The last written byte is the last byte of page 2.
+  const std::vector<std::uint8_t> data(64, 0x5A);
+  const std::uint64_t offset = 3 * kMramPageSize - data.size();
+  bank.write(offset, data);
+  std::vector<std::uint8_t> out(data.size() + kMramPageSize + 10, 0xFF);
+  bank.read(offset, out);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], i < data.size() ? 0x5A : 0) << "byte " << i;
+  }
+}
+
+TEST(Mram, ClearReleasesTableAndBankIsReusable) {
+  MramBank bank;
+  const std::vector<std::uint8_t> data(16, 0x33);
+  bank.write(kMramSize - kMramPageSize, data);
+  bank.write(0, data);
+  bank.clear();
+  EXPECT_EQ(bank.resident_pages(), 0u);
+  std::vector<std::uint8_t> out(16, 0xFF);
+  bank.read(kMramSize - kMramPageSize, out);
+  for (auto b : out) EXPECT_EQ(b, 0);
+  EXPECT_TRUE(bank.export_pages().empty());
+
+  bank.write(kMramPageSize + 5, data);
+  bank.read(kMramPageSize + 5, out);
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(bank.resident_pages(), 1u);
+}
+
+TEST(Mram, AdoptAtHighPageStaysCopyOnWrite) {
+  MramBank a, b;
+  const std::vector<std::uint8_t> data(2 * kMramPageSize, 0xAB);
+  const auto pages = MramBank::build_pages(data);
+  const std::uint64_t offset = kMramSize - 2 * kMramPageSize;
+  a.adopt_pages(offset, pages);
+  b.adopt_pages(offset, pages);
+  EXPECT_EQ(a.resident_pages(), 2u);
+  EXPECT_THROW(a.adopt_pages(offset + kMramPageSize, pages), VpimError);
+
+  const std::vector<std::uint8_t> patch = {7};
+  a.write(kMramSize - 1, patch);
+  std::vector<std::uint8_t> out(1);
+  b.read(kMramSize - 1, out);
+  EXPECT_EQ(out[0], 0xAB);
+  a.read(kMramSize - 1, out);
+  EXPECT_EQ(out[0], 7);
+  a.read(0, out);  // below the adopted range: never touched
+  EXPECT_EQ(out[0], 0);
+}
+
+TEST(Mram, SparseBankRoundTripsThroughExportImportAndCopy) {
+  MramBank src;
+  const std::vector<std::uint8_t> low(32, 0x11);
+  const std::vector<std::uint8_t> high(32, 0x22);
+  const std::uint64_t high_offset = kMramSize - 32;
+  src.write(0, low);
+  src.write(high_offset, high);
+
+  const auto exported = src.export_pages();
+  ASSERT_EQ(exported.size(), 2u);
+  EXPECT_EQ(exported[0].first, 0u);
+  EXPECT_EQ(exported[1].first, kMramPages - 1);
+
+  MramBank imported;
+  imported.write(kMramSize / 2, low);  // replaced by the import
+  imported.import_pages(exported);
+  MramBank copied;
+  copied.copy_from(src);
+
+  for (const MramBank* bank : {&imported, &copied}) {
+    EXPECT_EQ(bank->resident_pages(), 2u);
+    std::vector<std::uint8_t> out(32);
+    bank->read(0, out);
+    EXPECT_EQ(out, low);
+    bank->read(high_offset, out);
+    EXPECT_EQ(out, high);
+    bank->read(kMramSize / 2, out);
+    for (auto b : out) EXPECT_EQ(b, 0);
+  }
+  // Imported and copied pages are shared: writes stay private.
+  copied.write(0, high);
+  std::vector<std::uint8_t> out(32);
+  src.read(0, out);
+  EXPECT_EQ(out, low);
 }
 
 // ------------------------------------------------------------ interleave
@@ -247,6 +355,112 @@ TEST(DpuKernel, WramHeapExhaustionThrows) {
   test::TestRig rig(test::small_machine());
   auto& rank = rig.machine.rank(0);
   rank.ci_load("test_hog");
+  EXPECT_THROW(rank.ci_launch(0b1, 1), VpimError);
+}
+
+// mem_alloc recycles its buffers across stages and launches on a host
+// thread; every span must still come back zeroed, private and
+// malloc-aligned, and the heap limit must stay byte-exact.
+
+std::uint32_t nonzero_bytes(std::span<const std::uint8_t> buf) {
+  return static_cast<std::uint32_t>(
+      std::count_if(buf.begin(), buf.end(), [](auto b) { return b != 0; }));
+}
+
+// Every tasklet checks its fresh buffer, then dirties it for whoever
+// gets the buffer next. Counts land in the "dirty"/"misaligned" symbols.
+DpuKernel make_wram_recycle_kernel() {
+  DpuKernel k;
+  k.name = "test_wram_recycle";
+  k.symbols = {{"dirty", 4}, {"misaligned", 4}};
+  const StageFn stage = [](DpuCtx& ctx) {
+    auto buf = ctx.mem_alloc(4096);
+    ctx.var<std::uint32_t>("dirty") += nonzero_bytes(buf);
+    const auto addr = reinterpret_cast<std::uintptr_t>(buf.data());
+    if (addr % alignof(std::max_align_t) != 0) {
+      ++ctx.var<std::uint32_t>("misaligned");
+    }
+    std::fill(buf.begin(), buf.end(), 0xFF);
+  };
+  k.stages = {stage, stage};
+  return k;
+}
+
+std::uint32_t read_u32_symbol(Rank& rank, const std::string& name) {
+  std::uint32_t v = 0;
+  rank.ci_copy_from_symbol(0, name, 0,
+                           {reinterpret_cast<std::uint8_t*>(&v), 4});
+  return v;
+}
+
+TEST(DpuKernel, RecycledWramBuffersComeBackZeroed) {
+  KernelRegistry::instance().add(make_wram_recycle_kernel());
+  test::TestRig rig(test::small_machine());
+  auto& rank = rig.machine.rank(0);
+  rank.ci_load("test_wram_recycle");
+  for (int launch = 0; launch < 2; ++launch) {
+    rank.ci_launch(0b1, 4);
+    rig.clock.set(rank.busy_until());
+    EXPECT_EQ(read_u32_symbol(rank, "dirty"), 0u) << "launch " << launch;
+    EXPECT_EQ(read_u32_symbol(rank, "misaligned"), 0u);
+  }
+}
+
+TEST(DpuKernel, WramAllocationsInOneStageDoNotAlias) {
+  DpuKernel k;
+  k.name = "test_wram_alias";
+  k.symbols = {{"bad", 4}};
+  const StageFn stage = [](DpuCtx& ctx) {
+    auto a = ctx.mem_alloc(1024);
+    auto b = ctx.mem_alloc(1024);
+    std::fill(a.begin(), a.end(), 0xAA);
+    std::fill(b.begin(), b.end(), 0x55);
+    const bool disjoint = a.data() + a.size() <= b.data() ||
+                          b.data() + b.size() <= a.data();
+    const auto stray = std::count_if(a.begin(), a.end(),
+                                     [](auto v) { return v != 0xAA; });
+    ctx.var<std::uint32_t>("bad") +=
+        (disjoint ? 0u : 1u) + static_cast<std::uint32_t>(stray);
+  };
+  k.stages = {stage, stage};
+  KernelRegistry::instance().add(k);
+
+  test::TestRig rig(test::small_machine());
+  auto& rank = rig.machine.rank(0);
+  rank.ci_load("test_wram_alias");
+  rank.ci_launch(0b1, 8);
+  rig.clock.set(rank.busy_until());
+  EXPECT_EQ(read_u32_symbol(rank, "bad"), 0u);
+}
+
+TEST(DpuKernel, WramHeapExactFitSucceedsOneMoreByteThrows) {
+  // An 8-byte symbol leaves kWramSize - 8 bytes of heap.
+  constexpr std::uint32_t kHeap = kWramSize - 8;
+  const auto fill_heap = [](DpuCtx& ctx) {
+    if (ctx.me() != 0) return;
+    ctx.mem_alloc(kHeap - 100);
+    ctx.mem_alloc(100);
+  };
+  DpuKernel fit;
+  fit.name = "test_wram_exact_fit";
+  fit.symbols = {{"pad", 8}};
+  fit.stages = {fill_heap, fill_heap};  // released at the barrier
+  KernelRegistry::instance().add(fit);
+  const StageFn overfill = [fill_heap](DpuCtx& ctx) {
+    fill_heap(ctx);
+    if (ctx.me() == 0) ctx.mem_alloc(1);
+  };
+  DpuKernel over = fit;
+  over.name = "test_wram_one_over";
+  over.stages = {overfill};
+  KernelRegistry::instance().add(over);
+
+  test::TestRig rig(test::small_machine());
+  auto& rank = rig.machine.rank(0);
+  rank.ci_load("test_wram_exact_fit");
+  EXPECT_NO_THROW(rank.ci_launch(0b1, 1));
+  rig.clock.set(rank.busy_until());
+  rank.ci_load("test_wram_one_over");
   EXPECT_THROW(rank.ci_launch(0b1, 1), VpimError);
 }
 

@@ -86,6 +86,22 @@ class CopyBacklog {
   std::vector<std::vector<Task>> groups_;
 };
 
+// The one host-side copy loop behind every transfer — immediate, deferred
+// and emulated. Skips empty entries and checks the rest (a host buffer, a
+// DPU slot below 64) before any byte moves. With `defer` the copies are
+// parked there for the caller's batched replay; otherwise they run now,
+// grouped per DPU and fanned out over the host pool. Charges no virtual
+// time: each caller charges its own.
+void copy_entries(upmem::Rank& rank, const TransferMatrix& matrix,
+                  const DataPath& path, CopyBacklog* defer = nullptr);
+
+// Writes `data` at `mram_offset` of every bank in `rank`. Whole pages are
+// shared copy-on-write across banks (a 60 MB broadcast to 60 DPUs costs
+// 60 MB of real memory); a partial tail is written per bank. Charges no
+// virtual time.
+void broadcast_banks(upmem::Rank& rank, std::uint64_t mram_offset,
+                     std::span<const std::uint8_t> data);
+
 // Performance-mode mapping of one rank. Exclusive: a rank can be mapped by
 // at most one process at a time. Move-only RAII; unmapping frees the rank
 // in sysfs, which is how the manager's observer learns about releases.
@@ -131,6 +147,9 @@ class RankMapping {
   RankMapping(UpmemDriver* drv, std::uint32_t rank_index);
 
   double copy_gbps() const;
+  // Serial DMA-window entry shared by transfer and broadcast: checks the
+  // mapping and the 4 GiB cap, then fires any injected fault.
+  upmem::Rank& enter_dma_window(std::uint64_t bytes);
 
   UpmemDriver* drv_ = nullptr;  // null once unmapped
   std::uint32_t rank_index_ = 0;

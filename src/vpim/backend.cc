@@ -131,33 +131,7 @@ void Backend::data_transfer(const driver::TransferMatrix& matrix) {
   vmm_.clock().advance(cost.native_xfer_fixed_ns +
                        CostModel::bytes_time(bytes,
                                              cost.emulated_copy_gbps));
-  upmem::Rank& rank = emulated_->rank;
-  // Same per-bank fan-out as the physical path (RankMapping::transfer):
-  // entries for one DPU replay in order, distinct banks run host-parallel.
-  std::array<int, upmem::kDpuSlotsPerRank> slot;
-  slot.fill(-1);
-  std::vector<std::vector<const driver::XferEntry*>> groups;
-  for (const driver::XferEntry& e : matrix.entries) {
-    if (e.size == 0) continue;
-    VPIM_CHECK(e.dpu < upmem::kDpuSlotsPerRank,
-               "transfer entry targets an invalid DPU slot");
-    int& g = slot[e.dpu];
-    if (g < 0) {
-      g = static_cast<int>(groups.size());
-      groups.emplace_back();
-    }
-    groups[g].push_back(&e);
-  }
-  const bool to_rank = matrix.direction == driver::XferDirection::kToRank;
-  vmm_.pool().parallel_for(groups.size(), [&](std::size_t gi) {
-    for (const driver::XferEntry* e : groups[gi]) {
-      if (to_rank) {
-        rank.mram(e->dpu).write(e->mram_offset, {e->host, e->size});
-      } else {
-        rank.mram(e->dpu).read(e->mram_offset, {e->host, e->size});
-      }
-    }
-  });
+  driver::copy_entries(emulated_->rank, matrix, driver::DataPath{});
 }
 
 void Backend::data_broadcast(std::uint64_t mram_offset,
@@ -172,25 +146,7 @@ void Backend::data_broadcast(std::uint64_t mram_offset,
       cost.native_xfer_fixed_ns +
       CostModel::bytes_time(data.size() * rank.nr_dpus(),
                             cost.emulated_copy_gbps));
-  // Same copy-on-write page sharing as the physical broadcast path; banks
-  // are independent, so the per-DPU loop fans out over the pool.
-  const bool aligned = (mram_offset % upmem::kMramPageSize) == 0;
-  const std::size_t full_pages = data.size() / upmem::kMramPageSize;
-  if (aligned && full_pages > 0) {
-    const std::size_t shared = full_pages * upmem::kMramPageSize;
-    auto pages = upmem::MramBank::build_pages(data.first(shared));
-    vmm_.pool().parallel_for(rank.nr_dpus(), [&](std::size_t d) {
-      const auto dpu = static_cast<std::uint32_t>(d);
-      rank.mram(dpu).adopt_pages(mram_offset, pages);
-      if (shared < data.size()) {
-        rank.mram(dpu).write(mram_offset + shared, data.subspan(shared));
-      }
-    });
-  } else {
-    vmm_.pool().parallel_for(rank.nr_dpus(), [&](std::size_t d) {
-      rank.mram(static_cast<std::uint32_t>(d)).write(mram_offset, data);
-    });
-  }
+  driver::broadcast_banks(rank, mram_offset, data);
 }
 
 void Backend::check_deadline(const WireRequest& req) {

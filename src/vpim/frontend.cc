@@ -74,6 +74,24 @@ Frontend::Frontend(vmm::Vmm& vmm, Backend& backend,
       &obs_.metrics.counter("vpim_requests_total", {{"device", tag_}});
 }
 
+Frontend::DeviceOp::DeviceOp(Frontend& fe, obs::SpanKind kind,
+                             const driver::TransferMatrix* matrix)
+    : fe_(fe),
+      t0_(fe.vmm_.clock().now()),
+      span_(fe.tracer(), fe.vmm_.clock(), kind, fe.tenant_id()) {
+  if (matrix != nullptr) {
+    span_.set_bytes(matrix->total_bytes());
+    span_.set_entries(static_cast<std::uint32_t>(matrix->entries.size()));
+  }
+  fe.vmm_.clock().advance(fe.vmm_.cost().ioctl_ns);
+}
+
+void Frontend::DeviceOp::done(RankOp op) {
+  const SimNs elapsed = fe_.vmm_.clock().now() - t0_;
+  fe_.stats_.ops.add(op, elapsed);
+  fe_.op_hist_[static_cast<std::size_t>(op)]->observe(elapsed);
+}
+
 void Frontend::alloc_arena(WireArena& arena, guest::GuestMemory& mem) {
   constexpr std::uint32_t kDpus = upmem::kDpuSlotsPerRank;
   arena.request = mem.alloc(sizeof(WireRequest));
@@ -111,9 +129,7 @@ void Frontend::ensure_arenas() {
 
 bool Frontend::open() {
   if (open_) return true;
-  obs::RequestSpan span(tracer(), vmm_.clock(), obs::SpanKind::kControl,
-                        tenant_id());
-  vmm_.clock().advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kControl);
   // Virtio initialization dance (Appendix A.1 / virtio 1.x 3.1): status
   // walk and feature negotiation (the PIM device offers no features).
   if (!state_.driver_ok()) {
@@ -128,69 +144,30 @@ bool Frontend::open() {
                         virtio::kStatusDriverOk);
   }
   ensure_arenas();
-
-  WireArena& arena = slots_[0].arena;
-  WireRequest req;
-  req.ci_op = static_cast<std::uint32_t>(CiOp::kBindRank);
-  req.request_id = wire_request_id();
-  std::memcpy(arena.request.data(), &req, sizeof(req));
-  const virtio::DescBuffer chain[] = {
-      {vmm_.memory().gpa_of(arena.request.data()), sizeof(WireRequest),
-       false},
-      {vmm_.memory().gpa_of(arena.response.data()), sizeof(WireResponse),
-       true},
-  };
-  control_roundtrip(chain);
-
-  WireResponse resp;
-  std::memcpy(&resp, arena.response.data(), sizeof(resp));
-  if (resp.status ==
-      static_cast<std::int32_t>(virtio::PimStatus::kNoCapacity)) {
-    return false;  // manager abandoned the allocation
-  }
-  throw_if_rejected(resp, "the bind request");
-  config_space_ = resp.config;
-  open_ = true;
-  return true;
+  // False when the manager abandoned the allocation.
+  open_ = bind_request(CiOp::kBindRank, "the bind request");
+  return open_;
 }
 
 void Frontend::close() {
   if (!open_) return;
-  obs::RequestSpan span(tracer(), vmm_.clock(), obs::SpanKind::kControl,
-                        tenant_id());
-  vmm_.clock().advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kControl);
   // Teardown must never wedge: if the device died (DEVICE_FAULT, UNBOUND,
   // TIMEOUT), pending batched writes are lost with it, but the guest still
   // releases its device file and moves on. The pipeline drains first so
   // slot 0's arena is free for the control request and async completions
   // land in the CQ before the device goes away.
   try {
-    flush_batch();
-    kick();
-    raise_flush_error();
+    quiesce();
   } catch (const VpimStatusError&) {
     for (auto& batch : batches_) batch.cursor = 0;
     batch_pending_ = 0;
     batch_locked_ = false;
+    invalidate_cache();
   }
-  invalidate_cache();
-
-  WireArena& arena = slots_[0].arena;
-  WireRequest req;
-  req.ci_op = static_cast<std::uint32_t>(CiOp::kReleaseRank);
-  req.request_id = wire_request_id();
-  std::memcpy(arena.request.data(), &req, sizeof(req));
-  const virtio::DescBuffer chain[] = {
-      {vmm_.memory().gpa_of(arena.request.data()), sizeof(WireRequest),
-       false},
-      {vmm_.memory().gpa_of(arena.response.data()), sizeof(WireResponse),
-       true},
-  };
   try {
-    control_roundtrip(chain);
-    WireResponse resp;
-    std::memcpy(&resp, arena.response.data(), sizeof(resp));
-    throw_if_rejected(resp, "the release request");
+    throw_if_rejected(control_request(CiOp::kReleaseRank),
+                      "the release request");
   } catch (const VpimStatusError&) {
     // Releasing an already-unbound or wedged device: local teardown still
     // completes; the manager's observer reclaims the rank either way.
@@ -200,92 +177,34 @@ void Frontend::close() {
 
 bool Frontend::migrate() {
   VPIM_CHECK(open_, "migration on an unlinked device");
-  obs::RequestSpan span(tracer(), vmm_.clock(), obs::SpanKind::kControl,
-                        tenant_id());
-  vmm_.clock().advance(vmm_.cost().ioctl_ns);
-  flush_batch();
-  kick();  // drain in-flight work before the rank moves
-  raise_flush_error();
-  invalidate_cache();  // cached segments refer to the old rank
-
-  WireArena& arena = slots_[0].arena;
-  WireRequest req;
-  req.ci_op = static_cast<std::uint32_t>(CiOp::kMigrateRank);
-  req.request_id = wire_request_id();
-  std::memcpy(arena.request.data(), &req, sizeof(req));
-  const virtio::DescBuffer chain[] = {
-      {vmm_.memory().gpa_of(arena.request.data()), sizeof(WireRequest),
-       false},
-      {vmm_.memory().gpa_of(arena.response.data()), sizeof(WireResponse),
-       true},
-  };
-  control_roundtrip(chain);
-
-  WireResponse resp;
-  std::memcpy(&resp, arena.response.data(), sizeof(resp));
-  if (resp.status ==
-      static_cast<std::int32_t>(virtio::PimStatus::kNoCapacity)) {
-    return false;  // no free rank; still bound to the original one
-  }
-  throw_if_rejected(resp, "the migration request");
-  config_space_ = resp.config;
-  return true;
+  DeviceOp op(*this, obs::SpanKind::kControl);
+  quiesce();  // in-flight work lands before the rank moves
+  // False when no rank was free: still bound to the original one.
+  return bind_request(CiOp::kMigrateRank, "the migration request");
 }
 
 void Frontend::suspend() {
   VPIM_CHECK(open_, "suspend on an unlinked device");
-  obs::RequestSpan span(tracer(), vmm_.clock(), obs::SpanKind::kControl,
-                        tenant_id());
-  vmm_.clock().advance(vmm_.cost().ioctl_ns);
-  flush_batch();
-  kick();  // everything in flight must land before the state is parked
-  raise_flush_error();
-  invalidate_cache();
-  WireArena& arena = slots_[0].arena;
-  WireRequest req;
-  req.ci_op = static_cast<std::uint32_t>(CiOp::kSuspendRank);
-  req.request_id = wire_request_id();
-  std::memcpy(arena.request.data(), &req, sizeof(req));
-  const virtio::DescBuffer chain[] = {
-      {vmm_.memory().gpa_of(arena.request.data()), sizeof(WireRequest),
-       false},
-      {vmm_.memory().gpa_of(arena.response.data()), sizeof(WireResponse),
-       true},
-  };
-  control_roundtrip(chain);
-  WireResponse resp;
-  std::memcpy(&resp, arena.response.data(), sizeof(resp));
-  throw_if_rejected(resp, "the suspend request");
+  DeviceOp op(*this, obs::SpanKind::kControl);
+  quiesce();  // everything in flight must land before the state is parked
+  throw_if_rejected(control_request(CiOp::kSuspendRank),
+                    "the suspend request");
   open_ = false;
 }
 
 bool Frontend::resume() {
   VPIM_CHECK(!open_, "resume on a device that is already linked");
-  obs::RequestSpan span(tracer(), vmm_.clock(), obs::SpanKind::kControl,
-                        tenant_id());
-  vmm_.clock().advance(vmm_.cost().ioctl_ns);
-  WireArena& arena = slots_[0].arena;
-  WireRequest req;
-  req.ci_op = static_cast<std::uint32_t>(CiOp::kResumeRank);
-  req.request_id = wire_request_id();
-  std::memcpy(arena.request.data(), &req, sizeof(req));
-  const virtio::DescBuffer chain[] = {
-      {vmm_.memory().gpa_of(arena.request.data()), sizeof(WireRequest),
-       false},
-      {vmm_.memory().gpa_of(arena.response.data()), sizeof(WireResponse),
-       true},
-  };
-  control_roundtrip(chain);
-  WireResponse resp;
-  std::memcpy(&resp, arena.response.data(), sizeof(resp));
-  if (resp.status ==
-      static_cast<std::int32_t>(virtio::PimStatus::kNoCapacity)) {
-    return false;  // stays parked host-side until capacity frees up
-  }
-  throw_if_rejected(resp, "the resume request");
-  config_space_ = resp.config;
-  open_ = true;
-  return true;
+  DeviceOp op(*this, obs::SpanKind::kControl);
+  // False when no rank was free: stays parked host-side until one frees.
+  open_ = bind_request(CiOp::kResumeRank, "the resume request");
+  return open_;
+}
+
+void Frontend::quiesce() {
+  flush_batch();
+  kick();
+  raise_flush_error();
+  invalidate_cache();  // cached segments may refer to the old rank
 }
 
 std::uint32_t Frontend::nr_dpus() const {
@@ -305,24 +224,16 @@ void Frontend::write_to_rank(const driver::TransferMatrix& matrix) {
   VPIM_CHECK(matrix.direction == driver::XferDirection::kToRank,
              "write_to_rank called with a read matrix");
   check_dpus(matrix);
-  SimClock& clock = vmm_.clock();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kWrite, tenant_id());
-  span.set_bytes(matrix.total_bytes());
-  span.set_entries(static_cast<std::uint32_t>(matrix.entries.size()));
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kWrite, &matrix);
   // Any write makes cached MRAM contents stale.
   invalidate_cache();
   if (config_.request_batching && try_batch(matrix)) {
-    stats_.ops.add(RankOp::kWriteToRank, clock.now() - t0);
-    observe_op(RankOp::kWriteToRank, clock.now() - t0);
-    span.set_kind(obs::SpanKind::kWriteBatched);
-    return;
+    op.span().set_kind(obs::SpanKind::kWriteBatched);
+  } else {
+    flush_batch();
+    send_rank_op(matrix, /*is_write=*/true, /*flags=*/0);
   }
-  flush_batch();
-  send_rank_op(matrix, /*is_write=*/true, /*flags=*/0);
-  stats_.ops.add(RankOp::kWriteToRank, clock.now() - t0);
-  observe_op(RankOp::kWriteToRank, clock.now() - t0);
+  op.done(RankOp::kWriteToRank);
 }
 
 void Frontend::read_from_rank(const driver::TransferMatrix& matrix) {
@@ -332,11 +243,7 @@ void Frontend::read_from_rank(const driver::TransferMatrix& matrix) {
   check_dpus(matrix);
   SimClock& clock = vmm_.clock();
   const CostModel& cost = vmm_.cost();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kRead, tenant_id());
-  span.set_bytes(matrix.total_bytes());
-  span.set_entries(static_cast<std::uint32_t>(matrix.entries.size()));
-  clock.advance(cost.ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kRead, &matrix);
   flush_batch();  // non-write request; also required for coherence
 
   const bool cacheable =
@@ -347,8 +254,7 @@ void Frontend::read_from_rank(const driver::TransferMatrix& matrix) {
                   });
   if (!cacheable) {
     send_rank_op(matrix, /*is_write=*/false, /*flags=*/0);
-    stats_.ops.add(RankOp::kReadFromRank, clock.now() - t0);
-    observe_op(RankOp::kReadFromRank, clock.now() - t0);
+    op.done(RankOp::kReadFromRank);
     return;
   }
 
@@ -408,9 +314,8 @@ void Frontend::read_from_rank(const driver::TransferMatrix& matrix) {
   if (!direct.entries.empty()) {
     send_rank_op(direct, /*is_write=*/false, /*flags=*/0);
   }
-  stats_.ops.add(RankOp::kReadFromRank, clock.now() - t0);
-  observe_op(RankOp::kReadFromRank, clock.now() - t0);
-  span.set_kind(obs::SpanKind::kReadCached);
+  op.span().set_kind(obs::SpanKind::kReadCached);
+  op.done(RankOp::kReadFromRank);
 }
 
 void Frontend::check_dpus(const driver::TransferMatrix& matrix) const {
@@ -477,8 +382,8 @@ void Frontend::flush_batch() {
   span.set_bytes(matrix.total_bytes());
   span.set_entries(static_cast<std::uint32_t>(matrix.entries.size()));
   const std::uint32_t idx =
-      stage_rank_op(matrix, /*is_write=*/true, kWireFlagBatched,
-                    /*async=*/false, /*ticket=*/0, /*is_flush=*/true);
+      stage_rank_op(matrix, /*is_write=*/true, kWireFlagBatched);
+  slots_[idx].is_flush = true;
   batch_locked_ = true;
   // Depth 1 keeps the classic blocking flush; deeper queues post it and
   // let the next kick complete it (kick() resets the cursors and counts
@@ -515,9 +420,7 @@ void Frontend::record_lost_writes(std::int32_t status) {
 
 void Frontend::send_rank_op(const driver::TransferMatrix& matrix,
                             bool is_write, std::uint32_t flags) {
-  const std::uint32_t idx =
-      stage_rank_op(matrix, is_write, flags, /*async=*/false, /*ticket=*/0,
-                    /*is_flush=*/false);
+  const std::uint32_t idx = stage_rank_op(matrix, is_write, flags);
   finish_sync(idx, is_write ? "a write-to-rank operation"
                             : "a read-from-rank operation");
 }
@@ -535,8 +438,7 @@ void Frontend::reserve_ring(std::size_t descs) {
 
 std::uint32_t Frontend::stage_rank_op(const driver::TransferMatrix& matrix,
                                       bool is_write, std::uint32_t flags,
-                                      bool async, Ticket ticket,
-                                      bool is_flush, SimNs deadline_ns) {
+                                      SimNs deadline_ns) {
   reserve_slot();
   reserve_ring(2 * matrix.entries.size() + 3);
   SimClock& clock = vmm_.clock();
@@ -593,16 +495,23 @@ std::uint32_t Frontend::stage_rank_op(const driver::TransferMatrix& matrix,
               static_cast<std::uint32_t>(matrix.entries.size()));
   }
 
+  return publish_slot(slot.ser.chain, is_write, deadline_ns);
+}
+
+std::uint32_t Frontend::publish_slot(std::span<const virtio::DescBuffer> chain,
+                                     bool is_write, SimNs deadline_ns) {
+  const auto idx = static_cast<std::uint32_t>(staged_.size());
+  SqSlot& slot = slots_[idx];
   // Publish on the available ring; the doorbell waits for kick().
-  slot.head = transferq_.submit(slot.ser.chain);
+  slot.head = transferq_.submit(chain);
   slot.is_write = is_write;
-  slot.async = async;
-  slot.is_flush = is_flush;
+  slot.async = false;
+  slot.is_flush = false;
   slot.completed = false;
   slot.timed_out = false;
   slot.cancelled = false;
   slot.admitted = false;
-  slot.ticket = ticket;
+  slot.ticket = 0;
   slot.deadline = deadline_ns;
   slot.admit_t0 = 0;
   requests_metric_->inc();
@@ -610,15 +519,35 @@ std::uint32_t Frontend::stage_rank_op(const driver::TransferMatrix& matrix,
   return idx;
 }
 
+SimNs Frontend::ring_doorbell(void (Backend::*handle)()) {
+  // Fig 13 "Int" is the transition cost. With vhost transitions (§7
+  // future work) the kick lands in a per-device kernel worker instead of
+  // trapping out to the userspace VMM.
+  SimClock& clock = vmm_.clock();
+  const CostModel& cost = vmm_.cost();
+  const bool vhost = vhost_worker_.has_value();
+  const SimNs notify_cost =
+      vhost ? cost.vhost_notify_ns : cost.vmexit_notify_ns;
+  const SimNs complete_cost =
+      vhost ? cost.vhost_complete_ns : cost.irq_inject_ns;
+  ++stats_.doorbells;
+  doorbells_metric_->inc();
+  clock.advance(notify_cost);
+  ++stats_.notifies;
+  vmm::EventLoop& loop = vhost ? *vhost_worker_ : vmm_.loop();
+  loop.dispatch([&] { (backend_.*handle)(); });
+  clock.advance(complete_cost);
+  ++stats_.irqs;
+  ++stats_.completion_irqs;
+  return notify_cost + complete_cost;
+}
+
 void Frontend::kick() {
   if (staged_.empty()) return;
   SimClock& clock = vmm_.clock();
-  const CostModel& cost = vmm_.cost();
   const std::size_t batch = staged_.size();
 
-  ++stats_.doorbells;
   stats_.coalesced_notifies += batch - 1;
-  doorbells_metric_->inc();
   inflight_hist_->observe(batch);
 
   // One span for the whole transport round trip: notify transition,
@@ -627,28 +556,12 @@ void Frontend::kick() {
   obs::ScopedSpan span(tracer(), clock, obs::SpanKind::kVirtioRoundtrip);
   if (depth_ > 1) span.set_entries(static_cast<std::uint32_t>(batch));
 
-  // Guest -> host transition, device handling, completion back into the
-  // guest (Fig 13 "Int" is the transition cost). With vhost transitions
-  // (§7 future work) the kick lands in a per-device kernel worker instead
-  // of trapping out to the userspace VMM. The whole batch shares one
-  // transition pair — that is the coalescing win.
-  const bool vhost = vhost_worker_.has_value();
-  const SimNs notify_cost =
-      vhost ? cost.vhost_notify_ns : cost.vmexit_notify_ns;
-  const SimNs complete_cost =
-      vhost ? cost.vhost_complete_ns : cost.irq_inject_ns;
-  clock.advance(notify_cost);
-  ++stats_.notifies;
-  vmm::EventLoop& loop = vhost ? *vhost_worker_ : vmm_.loop();
-  loop.dispatch([&] { backend_.handle_transferq(); });
-  clock.advance(complete_cost);
-  ++stats_.irqs;
-  ++stats_.completion_irqs;
+  // The whole batch shares one transition pair — that is the coalescing
+  // win.
+  const SimNs transition = ring_doorbell(&Backend::handle_transferq);
   bool any_write = false;
   for (std::uint32_t idx : staged_) any_write |= slots_[idx].is_write;
-  if (any_write) {
-    stats_.wsteps.add(WrankStep::kInterrupt, notify_cost + complete_cost);
-  }
+  if (any_write) stats_.wsteps.add(WrankStep::kInterrupt, transition);
 
   // Bounded completion wait: the first polls are free (the dispatch above
   // is synchronous, so a healthy device has already completed the whole
@@ -680,10 +593,7 @@ void Frontend::kick() {
       if (all_deadlined && latest > 0) {
         wait_until = std::min(wait_until, latest);
       }
-      while (!used.has_value() && clock.now() < wait_until) {
-        clock.advance(config_.poll_interval_ns);
-        used = transferq_.poll_used();
-      }
+      used = poll_until(transferq_, wait_until);
     }
     if (!used.has_value()) break;
     for (std::uint32_t idx : staged_) {
@@ -777,37 +687,30 @@ WireResponse Frontend::finish_sync(std::uint32_t idx, const char* what) {
   return slot.resp;
 }
 
-void Frontend::control_roundtrip(std::span<const virtio::DescBuffer> chain) {
+WireResponse Frontend::control_request(CiOp op) {
   SimClock& clock = vmm_.clock();
-  const CostModel& cost = vmm_.cost();
+  WireArena& arena = slots_[0].arena;
+  WireRequest req;
+  req.ci_op = static_cast<std::uint32_t>(op);
+  req.request_id = wire_request_id();
+  std::memcpy(arena.request.data(), &req, sizeof(req));
+  const virtio::DescBuffer chain[] = {
+      {vmm_.memory().gpa_of(arena.request.data()), sizeof(WireRequest),
+       false},
+      {vmm_.memory().gpa_of(arena.response.data()), sizeof(WireResponse),
+       true},
+  };
   controlq_.submit(chain);
 
   // Control requests stay strictly synchronous: one request, one
   // doorbell, one completion interrupt.
-  ++stats_.doorbells;
-  ++stats_.completion_irqs;
-  doorbells_metric_->inc();
   requests_metric_->inc();
   obs::ScopedSpan span(tracer(), clock, obs::SpanKind::kVirtioRoundtrip);
-  const bool vhost = vhost_worker_.has_value();
-  const SimNs notify_cost =
-      vhost ? cost.vhost_notify_ns : cost.vmexit_notify_ns;
-  const SimNs complete_cost =
-      vhost ? cost.vhost_complete_ns : cost.irq_inject_ns;
-  clock.advance(notify_cost);
-  ++stats_.notifies;
-  vmm::EventLoop& loop = vhost ? *vhost_worker_ : vmm_.loop();
-  loop.dispatch([&] { backend_.handle_controlq(); });
-  clock.advance(complete_cost);
-  ++stats_.irqs;
+  ring_doorbell(&Backend::handle_controlq);
 
   auto used = controlq_.poll_used();
   if (!used.has_value()) {
-    const SimNs deadline = clock.now() + config_.poll_deadline_ns;
-    while (!used.has_value() && clock.now() < deadline) {
-      clock.advance(config_.poll_interval_ns);
-      used = controlq_.poll_used();
-    }
+    used = poll_until(controlq_, clock.now() + config_.poll_deadline_ns);
   }
   if (!used.has_value()) {
     ++stats_.poll_timeouts;
@@ -815,6 +718,30 @@ void Frontend::control_roundtrip(std::span<const virtio::DescBuffer> chain) {
                           "device did not complete the request within the "
                           "poll deadline");
   }
+  WireResponse resp;
+  std::memcpy(&resp, arena.response.data(), sizeof(resp));
+  return resp;
+}
+
+bool Frontend::bind_request(CiOp op, const char* what) {
+  const WireResponse resp = control_request(op);
+  if (resp.status ==
+      static_cast<std::int32_t>(virtio::PimStatus::kNoCapacity)) {
+    return false;
+  }
+  throw_if_rejected(resp, what);
+  config_space_ = resp.config;
+  return true;
+}
+
+std::optional<virtio::UsedElem> Frontend::poll_until(
+    virtio::Virtqueue& queue, SimNs until) {
+  std::optional<virtio::UsedElem> used;
+  while (!used.has_value() && vmm_.clock().now() < until) {
+    vmm_.clock().advance(config_.poll_interval_ns);
+    used = queue.poll_used();
+  }
+  return used;
 }
 
 // --------------------------------------------------------------- CI ops
@@ -832,8 +759,7 @@ std::uint32_t Frontend::stage_ci(const WireRequest& req,
                                  bool payload_writable) {
   reserve_slot();
   reserve_ring(3);
-  const std::uint32_t idx = static_cast<std::uint32_t>(staged_.size());
-  SqSlot& slot = slots_[idx];
+  SqSlot& slot = slots_[staged_.size()];
   slot.t0 = vmm_.clock().now();
   WireRequest stamped = req;
   stamped.request_id = wire_request_id();
@@ -851,20 +777,8 @@ std::uint32_t Frontend::stage_ci(const WireRequest& req,
   }
   chain[n++] = {vmm_.memory().gpa_of(slot.arena.response.data()),
                 sizeof(WireResponse), true};
-  slot.head = transferq_.submit(std::span(chain.data(), n));
-  slot.is_write = false;
-  slot.async = false;
-  slot.is_flush = false;
-  slot.completed = false;
-  slot.timed_out = false;
-  slot.cancelled = false;
-  slot.admitted = false;
-  slot.ticket = 0;
-  slot.deadline = 0;
-  slot.admit_t0 = 0;
-  requests_metric_->inc();
-  staged_.push_back(idx);
-  return idx;
+  return publish_slot(std::span(chain.data(), n), /*is_write=*/false,
+                      /*deadline_ns=*/0);
 }
 
 WireResponse Frontend::ci_roundtrip(const WireRequest& req,
@@ -876,29 +790,20 @@ WireResponse Frontend::ci_roundtrip(const WireRequest& req,
 
 void Frontend::ci_load(std::string_view kernel_name) {
   VPIM_CHECK(open_, "CI operation on an unlinked device");
-  SimClock& clock = vmm_.clock();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kCiLoad,
-                        tenant_id());
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kCiLoad);
   flush_batch();
   WireRequest req;
   req.type = static_cast<std::uint32_t>(virtio::PimRequestType::kCiWrite);
   req.ci_op = static_cast<std::uint32_t>(CiOp::kLoad);
   copy_name(req.name, kernel_name);
   ci_roundtrip(req, {}, false);
-  stats_.ops.add(RankOp::kCi, clock.now() - t0);
-  observe_op(RankOp::kCi, clock.now() - t0);
+  op.done(RankOp::kCi);
 }
 
 void Frontend::ci_launch(std::uint64_t dpu_mask,
                          std::optional<std::uint32_t> nr_tasklets) {
   VPIM_CHECK(open_, "CI operation on an unlinked device");
-  SimClock& clock = vmm_.clock();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kCiLaunch,
-                        tenant_id());
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kCiLaunch);
   flush_batch();
   invalidate_cache();  // DPU programs may rewrite MRAM
   WireRequest req;
@@ -907,24 +812,18 @@ void Frontend::ci_launch(std::uint64_t dpu_mask,
   req.arg0 = dpu_mask;
   req.arg1 = nr_tasklets ? *nr_tasklets + 1 : 0;
   ci_roundtrip(req, {}, false);
-  stats_.ops.add(RankOp::kCi, clock.now() - t0);
-  observe_op(RankOp::kCi, clock.now() - t0);
+  op.done(RankOp::kCi);
 }
 
 std::uint64_t Frontend::ci_running_mask() {
   VPIM_CHECK(open_, "CI operation on an unlinked device");
-  SimClock& clock = vmm_.clock();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kCiStatus,
-                        tenant_id());
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kCiStatus);
   flush_batch();
   WireRequest req;
   req.type = static_cast<std::uint32_t>(virtio::PimRequestType::kCiRead);
   req.ci_op = static_cast<std::uint32_t>(CiOp::kReadStatus);
   const WireResponse resp = ci_roundtrip(req, {}, false);
-  stats_.ops.add(RankOp::kCi, clock.now() - t0);
-  observe_op(RankOp::kCi, clock.now() - t0);
+  op.done(RankOp::kCi);
   return resp.value;
 }
 
@@ -934,12 +833,8 @@ void Frontend::ci_copy_to_symbol(std::uint32_t dpu, std::string_view symbol,
   VPIM_CHECK(open_, "CI operation on an unlinked device");
   VPIM_CHECK(data.size() <= kCiPayloadBytes,
              "symbol payload exceeds the staging buffer");
-  SimClock& clock = vmm_.clock();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kCiSymbol,
-                        tenant_id());
-  span.set_bytes(data.size());
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kCiSymbol);
+  op.span().set_bytes(data.size());
   flush_batch();
   std::span<std::uint8_t> payload = ci_payload();
   std::memcpy(payload.data(), data.data(), data.size());
@@ -950,8 +845,7 @@ void Frontend::ci_copy_to_symbol(std::uint32_t dpu, std::string_view symbol,
   req.symbol_offset = offset;
   copy_name(req.name, symbol);
   ci_roundtrip(req, payload.first(data.size()), false);
-  stats_.ops.add(RankOp::kCi, clock.now() - t0);
-  observe_op(RankOp::kCi, clock.now() - t0);
+  op.done(RankOp::kCi);
 }
 
 void Frontend::ci_copy_from_symbol(std::uint32_t dpu,
@@ -961,12 +855,8 @@ void Frontend::ci_copy_from_symbol(std::uint32_t dpu,
   VPIM_CHECK(open_, "CI operation on an unlinked device");
   VPIM_CHECK(out.size() <= kCiPayloadBytes,
              "symbol payload exceeds the staging buffer");
-  SimClock& clock = vmm_.clock();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kCiSymbol,
-                        tenant_id());
-  span.set_bytes(out.size());
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kCiSymbol);
+  op.span().set_bytes(out.size());
   flush_batch();
   std::span<std::uint8_t> payload = ci_payload();
   WireRequest req;
@@ -977,8 +867,7 @@ void Frontend::ci_copy_from_symbol(std::uint32_t dpu,
   copy_name(req.name, symbol);
   ci_roundtrip(req, payload.first(out.size()), true);
   std::memcpy(out.data(), payload.data(), out.size());
-  stats_.ops.add(RankOp::kCi, clock.now() - t0);
-  observe_op(RankOp::kCi, clock.now() - t0);
+  op.done(RankOp::kCi);
 }
 
 void Frontend::ci_push_symbols(driver::XferDirection dir,
@@ -989,13 +878,10 @@ void Frontend::ci_push_symbols(driver::XferDirection dir,
   VPIM_CHECK(open_, "CI operation on an unlinked device");
   VPIM_CHECK(bytes_per_dpu > 0 && packed.size() % bytes_per_dpu == 0,
              "packed symbol buffer must hold whole per-DPU values");
-  SimClock& clock = vmm_.clock();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kCiSymbol,
-                        tenant_id());
-  span.set_bytes(packed.size());
-  span.set_entries(static_cast<std::uint32_t>(packed.size() / bytes_per_dpu));
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kCiSymbol);
+  op.span().set_bytes(packed.size());
+  op.span().set_entries(
+      static_cast<std::uint32_t>(packed.size() / bytes_per_dpu));
   flush_batch();
   WireRequest req;
   req.type = static_cast<std::uint32_t>(
@@ -1012,8 +898,7 @@ void Frontend::ci_push_symbols(driver::XferDirection dir,
   copy_name(req.name, symbol);
   ci_roundtrip(req, packed,
                dir == driver::XferDirection::kFromRank);
-  stats_.ops.add(RankOp::kCi, clock.now() - t0);
-  observe_op(RankOp::kCi, clock.now() - t0);
+  op.done(RankOp::kCi);
 }
 
 // ------------------------------------------------------- async SQ/CQ API
@@ -1032,14 +917,8 @@ Frontend::Ticket Frontend::submit_async(const driver::TransferMatrix& matrix,
   }
   check_dpus(matrix);
   SimClock& clock = vmm_.clock();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock,
-                        is_write ? obs::SpanKind::kWrite
-                                 : obs::SpanKind::kRead,
-                        tenant_id());
-  span.set_bytes(matrix.total_bytes());
-  span.set_entries(static_cast<std::uint32_t>(matrix.entries.size()));
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, is_write ? obs::SpanKind::kWrite : obs::SpanKind::kRead,
+              &matrix);
   // Any write makes cached MRAM contents stale; batched writes must not
   // land after this one (write -> read ordering on the read path).
   if (is_write) invalidate_cache();
@@ -1051,15 +930,14 @@ Frontend::Ticket Frontend::submit_async(const driver::TransferMatrix& matrix,
     deadline = clock.now() + config_.default_deadline_ns;
   }
   const Ticket ticket = ++next_ticket_;
-  const std::uint32_t idx =
-      stage_rank_op(matrix, is_write, /*flags=*/0, /*async=*/true, ticket,
-                    /*is_flush=*/false, deadline);
-  slots_[idx].admitted = admitted;
-  slots_[idx].admit_t0 = admit_t0;
+  SqSlot& slot = slots_[stage_rank_op(matrix, is_write, /*flags=*/0,
+                                      deadline)];
+  slot.async = true;
+  slot.ticket = ticket;
+  slot.admitted = admitted;
+  slot.admit_t0 = admit_t0;
   if (staged_.size() >= depth_) kick();
-  const RankOp op = is_write ? RankOp::kWriteToRank : RankOp::kReadFromRank;
-  stats_.ops.add(op, clock.now() - t0);
-  observe_op(op, clock.now() - t0);
+  op.done(is_write ? RankOp::kWriteToRank : RankOp::kReadFromRank);
   return ticket;
 }
 
@@ -1144,14 +1022,11 @@ bool Frontend::cancel(Ticket ticket) {
 }
 
 std::span<const Frontend::Completion> Frontend::poll_completions() {
-  SimClock& clock = vmm_.clock();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kCqDrain,
-                        tenant_id());
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kCqDrain);
   kick();
   cq_out_.swap(cq_);
   cq_.clear();
-  span.set_entries(static_cast<std::uint32_t>(cq_out_.size()));
+  op.span().set_entries(static_cast<std::uint32_t>(cq_out_.size()));
   return cq_out_;
 }
 

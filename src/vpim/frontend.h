@@ -195,6 +195,23 @@ class Frontend {
     SimNs admit_t0 = 0;  // admission time, for the queued-time histogram
     WireResponse resp{};
   };
+  // One device-file op's ledger. The constructor opens the request-scoped
+  // root span (sized from `matrix` when given) and charges the syscall;
+  // done() books the same interval into DeviceStats::ops and the
+  // vpim_op_ns histogram. An op that throws before done() still closes its
+  // span but books nothing; control ops never call done().
+  class DeviceOp {
+   public:
+    DeviceOp(Frontend& fe, obs::SpanKind kind,
+             const driver::TransferMatrix* matrix = nullptr);
+    obs::RequestSpan& span() { return span_; }
+    void done(RankOp op);
+
+   private:
+    Frontend& fe_;
+    SimNs t0_;
+    obs::RequestSpan span_;
+  };
   static constexpr std::uint32_t kMaxQueueDepth = 64;
   static constexpr std::uint64_t kCiPayloadBytes = 8 * kKiB;
 
@@ -204,11 +221,15 @@ class Frontend {
   void send_rank_op(const driver::TransferMatrix& matrix, bool is_write,
                     std::uint32_t flags);
   // Serializes into the next free slot and publishes the chain on the
-  // available ring (no doorbell); returns the slot index.
+  // available ring (no doorbell); returns the slot index. The slot is armed
+  // as a blocking request; async submits and flushes re-mark it.
   std::uint32_t stage_rank_op(const driver::TransferMatrix& matrix,
-                              bool is_write, std::uint32_t flags, bool async,
-                              Ticket ticket, bool is_flush,
+                              bool is_write, std::uint32_t flags,
                               SimNs deadline_ns = 0);
+  // Publishes `chain` from the next free slot and arms that slot's
+  // completion bookkeeping for a blocking request.
+  std::uint32_t publish_slot(std::span<const virtio::DescBuffer> chain,
+                             bool is_write, SimNs deadline_ns);
   // Shared body of submit_*/try_submit_*: admission bookkeeping rides in
   // `admitted`/`admit_t0`; the plain submit_* path passes none.
   Ticket submit_async(const driver::TransferMatrix& matrix, bool is_write,
@@ -221,6 +242,9 @@ class Frontend {
   std::uint32_t stage_ci(const WireRequest& req,
                          std::span<std::uint8_t> payload,
                          bool payload_writable);
+  // Guest -> host notify, the device's queue handler, and the completion
+  // back into the guest; returns the transition cost charged.
+  SimNs ring_doorbell(void (Backend::*handle)());
   // Rings the doorbell for everything staged: one notify, one backend
   // drain, one completion interrupt for the whole batch. Never throws —
   // failures land in the slots as typed statuses.
@@ -235,7 +259,19 @@ class Frontend {
   void raise_flush_error();
   // Payload staging buffer of the slot the next stage_ci will use.
   std::span<std::uint8_t> ci_payload();
-  void control_roundtrip(std::span<const virtio::DescBuffer> chain);
+  // One synchronous controlq round trip (bind, release, migrate, suspend,
+  // resume) through slot 0's arena; throws kTimeout if it never completes.
+  WireResponse control_request(CiOp op);
+  // Bind-style control op (bind, migrate, resume): false when no rank was
+  // free, otherwise adopts the new binding's config space.
+  bool bind_request(CiOp op, const char* what);
+  // Drains the batch buffer and the SQ, rethrows any posted-flush
+  // failure, then invalidates the cache; runs before the binding changes.
+  void quiesce();
+  // Re-polls `queue` every poll_interval_ns of virtual time until a
+  // completion arrives or the clock reaches `until`.
+  std::optional<virtio::UsedElem> poll_until(virtio::Virtqueue& queue,
+                                             SimNs until);
   WireResponse ci_roundtrip(const WireRequest& req,
                             std::span<std::uint8_t> payload,
                             bool payload_writable);
@@ -268,9 +304,6 @@ class Frontend {
     return obs_.tracer != nullptr
                ? static_cast<std::uint32_t>(obs_.tracer->current_request())
                : 0;
-  }
-  void observe_op(RankOp op, SimNs duration) {
-    op_hist_[static_cast<std::size_t>(op)]->observe(duration);
   }
 
   vmm::Vmm& vmm_;

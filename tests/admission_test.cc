@@ -130,6 +130,19 @@ TEST(AdmissionController, IdleTenantsDoNotBlockTheOnlyContender) {
   }
 }
 
+TEST(AdmissionController, SessionsThatNeverContendedDoNotBlockGrants) {
+  AdmissionController adm;
+  // "io-only" exists through admission alone (a weight here, a try_admit
+  // elsewhere) and never asked for a rank, so its zero share must not
+  // defer another tenant's grants inside the first fairness window.
+  adm.set_tenant_weight("io-only", 1);
+  EXPECT_EQ(adm.try_admit("io-too", 0), PimStatus::kOk);
+  EXPECT_TRUE(adm.allow_rank_grant("b", 0));
+  adm.on_rank_granted("b");
+  EXPECT_TRUE(adm.allow_rank_grant("b", 1 * kMs));
+  EXPECT_EQ(adm.stats().fairness_deferrals, 0u);
+}
+
 // ---- end to end through the device stack --------------------------------
 
 VpimConfig pipe_config(std::uint32_t depth) {

@@ -3,12 +3,15 @@
 // ranks at reduced performance when physical capacity is exhausted).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <tuple>
 #include <vector>
 
 #include "common/fault.h"
+#include "common/rng.h"
 #include "tests/test_kernels.h"
 #include "tests/testutil.h"
 #include "vpim/guest_platform.h"
@@ -29,6 +32,170 @@ VpimConfig oversub_config() {
   VpimConfig cfg = VpimConfig::full();
   cfg.oversubscribe = true;
   return cfg;
+}
+
+// ---------------------------------------------------------- copy paths
+
+// One host<->MRAM copy path under test. `sync` lands anything the path
+// parks (only the CopyBacklog path parks anything).
+struct CopyTarget {
+  std::function<void(const driver::TransferMatrix&)> transfer;
+  std::function<void(std::uint64_t, std::span<const std::uint8_t>)> broadcast;
+  std::function<void()> sync = [] {};
+};
+
+constexpr std::uint64_t kImageBytes = 16 * upmem::kMramPageSize;
+
+// Writes, broadcasts and reads one fixed script through `t`; returns the
+// read-back bytes followed by every bank's image over [0, kImageBytes).
+std::vector<std::uint8_t> run_copy_script(guest::GuestMemory& mem,
+                                          std::uint32_t nr_dpus,
+                                          const CopyTarget& t) {
+  Rng rng(42);
+  auto a = mem.alloc(8 * kKiB);
+  auto b = mem.alloc(4 * kKiB);
+  auto c = mem.alloc(2 * upmem::kMramPageSize + 777);
+  rng.fill_bytes(a.data(), a.size());
+  rng.fill_bytes(b.data(), b.size());
+  rng.fill_bytes(c.data(), c.size());
+
+  driver::TransferMatrix w;
+  w.direction = driver::XferDirection::kToRank;
+  w.entries = {
+      {3, 0, a.data(), a.size()},       // two entries for DPU 3, in order:
+      {3, 2 * kKiB, b.data(), b.size()},  // the second overwrites the first
+      {5, 64, b.data(), 0},             // zero-size: moves nothing
+      {1, 100, b.data(), 300},
+  };
+  t.transfer(w);
+  t.sync();
+  // Page-aligned whole pages, page-aligned with a partial-page tail, and
+  // an unaligned offset (no page sharing at all).
+  t.broadcast(4 * upmem::kMramPageSize, c.first(2 * upmem::kMramPageSize));
+  t.broadcast(8 * upmem::kMramPageSize, c);
+  t.broadcast(12 * upmem::kMramPageSize + 100, c);
+
+  auto out = mem.alloc(6 * kKiB + nr_dpus * kImageBytes);
+  std::memset(out.data(), 0xCC, out.size());
+  driver::TransferMatrix r;
+  r.direction = driver::XferDirection::kFromRank;
+  r.entries = {
+      {3, 1000, out.data(), 5000},
+      {3, 12 * upmem::kMramPageSize + 50, out.data() + 5000, 1000},
+      {6, 0, out.data() + 6000, 0},
+  };
+  t.transfer(r);
+  driver::TransferMatrix image;
+  image.direction = driver::XferDirection::kFromRank;
+  for (std::uint32_t d = 0; d < nr_dpus; ++d) {
+    image.entries.push_back(
+        {d, 0, out.data() + 6 * kKiB + d * kImageBytes, kImageBytes});
+  }
+  t.transfer(image);
+  t.sync();
+  return {out.begin(), out.end()};
+}
+
+CopyTarget frontend_target(Frontend& fe) {
+  CopyTarget t;
+  t.transfer = [&fe](const driver::TransferMatrix& full) {
+    // The wire format has no zero-size entries (serialization rejects
+    // them), so only the driver paths see the script's empty entry.
+    driver::TransferMatrix m;
+    m.direction = full.direction;
+    for (const driver::XferEntry& e : full.entries) {
+      if (e.size > 0) m.entries.push_back(e);
+    }
+    if (m.direction == driver::XferDirection::kToRank) {
+      fe.write_to_rank(m);
+    } else {
+      fe.read_from_rank(m);
+    }
+  };
+  // The backend recognizes one identical entry per DPU as a broadcast.
+  t.broadcast = [&fe](std::uint64_t offset,
+                      std::span<const std::uint8_t> data) {
+    driver::TransferMatrix m;
+    m.direction = driver::XferDirection::kToRank;
+    for (std::uint32_t d = 0; d < fe.nr_dpus(); ++d) {
+      m.entries.push_back({d, offset, const_cast<std::uint8_t*>(data.data()),
+                           data.size()});
+    }
+    fe.write_to_rank(m);
+  };
+  return t;
+}
+
+TEST(CopyPaths, ImmediateDeferredAndEmulatedLandIdenticalBytes) {
+  // Two physical devices fill the machine; the third runs emulated. With
+  // no fault plan the physical device's drain defers its copies.
+  VpimConfig cfg = VpimConfig::c_only();  // no batching, no prefetch cache
+  cfg.oversubscribe = true;
+  Host host(test::small_machine(), CostModel{}, fast_manager());
+  VpimVm vm(host, {.name = "copy-paths"}, 3, cfg);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(vm.device(i).frontend.open());
+  }
+  ASSERT_FALSE(vm.device(0).backend.emulated());
+  ASSERT_TRUE(vm.device(2).backend.emulated());
+  guest::GuestMemory& mem = vm.vmm().memory();
+  const std::uint32_t dpus = vm.device(0).frontend.nr_dpus();
+  const auto deferred =
+      run_copy_script(mem, dpus, frontend_target(vm.device(0).frontend));
+  const auto emulated =
+      run_copy_script(mem, dpus, frontend_target(vm.device(2).frontend));
+
+  // The driver's own paths, on a second machine.
+  Host direct(test::small_machine(), CostModel{}, fast_manager());
+  auto now = direct.drv.map_rank(0, "immediate");
+  auto later = direct.drv.map_rank(1, "backlog");
+  driver::CopyBacklog backlog;
+  CopyTarget immediate_target{
+      [&](const driver::TransferMatrix& m) { now.transfer(m); },
+      [&](std::uint64_t off, std::span<const std::uint8_t> data) {
+        now.broadcast(off, data);
+      }};
+  CopyTarget backlog_target{
+      [&](const driver::TransferMatrix& m) { later.transfer(m, &backlog); },
+      [&](std::uint64_t off, std::span<const std::uint8_t> data) {
+        later.broadcast(off, data);
+      },
+      [&] { backlog.flush(); }};
+  const auto immediate = run_copy_script(mem, dpus, immediate_target);
+  const auto parked = run_copy_script(mem, dpus, backlog_target);
+
+  // Reference: plain in-order memcpy into zero-filled banks. The paths
+  // share one copy loop, so agreeing with each other is not enough.
+  std::vector<std::vector<std::uint8_t>> banks(
+      dpus, std::vector<std::uint8_t>(kImageBytes));
+  CopyTarget model{
+      [&](const driver::TransferMatrix& m) {
+        for (const driver::XferEntry& e : m.entries) {
+          std::uint8_t* bank = banks[e.dpu].data() + e.mram_offset;
+          if (m.direction == driver::XferDirection::kToRank) {
+            std::memcpy(bank, e.host, e.size);
+          } else {
+            std::memcpy(e.host, bank, e.size);
+          }
+        }
+      },
+      [&](std::uint64_t off, std::span<const std::uint8_t> data) {
+        for (auto& bank : banks) {
+          std::memcpy(bank.data() + off, data.data(), data.size());
+        }
+      }};
+  const auto expect = run_copy_script(mem, dpus, model);
+
+  EXPECT_EQ(immediate, expect);
+  EXPECT_EQ(parked, expect);
+  EXPECT_EQ(deferred, expect);
+  EXPECT_EQ(emulated, expect);
+  // The read-back really is each bank's content.
+  for (std::uint32_t d = 0; d < dpus; ++d) {
+    std::vector<std::uint8_t> bank(kImageBytes);
+    direct.machine.rank(0).mram(d).read(0, bank);
+    EXPECT_EQ(bank, banks[d]) << "dpu " << d;
+  }
 }
 
 // ---------------------------------------------------------- suspend/resume

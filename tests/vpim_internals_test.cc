@@ -293,6 +293,57 @@ TEST(Trace, CategoryTotalsMatchDeviceStatsExactly) {
             tracer.total_for(obs::Category::kRead));
 }
 
+TEST(Trace, RejectedAndControlOpsCloseTheirSpanButBookNoOp) {
+  // One DeviceOp books a device-file op into the root span, DeviceStats::ops
+  // and vpim_op_ns. An op the device rejects (typed) still closes its root
+  // span but books neither ledger; control ops never book into either.
+  Rig rig(VpimConfig::c_only());  // no batch buffer to absorb the bad write
+  obs::Tracer tracer;
+  rig.host.attach_tracer(&tracer);
+  const DeviceStats& stats = rig.fe().stats();
+  auto op_ns_count = [&] {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < kNumRankOps; ++i) {
+      n += rig.host.obs.metrics
+               .histogram("vpim_op_ns",
+                          {{"device", rig.vm.device(0).backend.tag()},
+                           {"op", std::string(kRankOpNames[i])}})
+               .count();
+    }
+    return n;
+  };
+  auto buf = rig.vm.vmm().memory().alloc(8 * kKiB);
+  driver::TransferMatrix good;
+  good.entries.push_back({0, 0, buf.data(), buf.size()});
+  rig.fe().write_to_rank(good);
+  const OpBreakdown booked = stats.ops;
+  const std::uint64_t observed = op_ns_count();
+  ASSERT_EQ(booked.count(RankOp::kWriteToRank), 1u);
+  ASSERT_EQ(observed, 1u);
+
+  driver::TransferMatrix bad;  // runs past the end of the MRAM bank
+  bad.entries.push_back(
+      {0, upmem::kMramSize - 4 * kKiB, buf.data(), buf.size()});
+  try {
+    rig.fe().write_to_rank(bad);
+    ADD_FAILURE() << "write past the MRAM bank was accepted";
+  } catch (const VpimStatusError& e) {
+    EXPECT_EQ(e.status(),
+              static_cast<std::int32_t>(virtio::PimStatus::kBadRequest));
+  }
+  rig.fe().close();
+  ASSERT_TRUE(rig.fe().open());
+
+  EXPECT_EQ(stats.ops.op_count, booked.op_count);
+  EXPECT_EQ(stats.ops.op_time, booked.op_time);
+  EXPECT_EQ(op_ns_count(), observed);
+  std::map<obs::SpanKind, int> roots;
+  for (const auto& s : tracer.spans()) roots[s.kind]++;
+  EXPECT_EQ(roots[obs::SpanKind::kWrite], 2);    // the rejected one too
+  EXPECT_EQ(roots[obs::SpanKind::kControl], 2);  // close + open
+  EXPECT_FALSE(tracer.has_open());
+}
+
 TEST(Config, Table2PresetsMatchTheirColumns) {
   EXPECT_FALSE(VpimConfig::rust().c_enhancement);
   EXPECT_TRUE(VpimConfig::c_only().c_enhancement);

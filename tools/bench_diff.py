@@ -158,9 +158,9 @@ def main():
     ap.add_argument("--current-dir", action="append", default=[],
                     help="directory holding fresh BENCH_*.json "
                          "(repeat for median-of-N wall gating)")
-    ap.add_argument("--rel-tol", type=float, default=0.005,
+    ap.add_argument("--rel-tol", type=float, default=0.0,
                     help="max relative simulated_ns drift per point "
-                         "(default 0.005)")
+                         "(default 0: exact)")
     ap.add_argument("--wall-tol", type=float, default=None,
                     help="max relative wall_ms slowdown of the per-point "
                          "median across runs; wall gating is off unless set "

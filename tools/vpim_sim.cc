@@ -10,11 +10,13 @@
 //   vpim-sim --app TRNS --dpus 480 --config vPIM-C
 //   vpim-sim --app checksum --mb 20 --config vPIM+vhost
 //   vpim-sim --list
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
 
+#include "common/error.h"
 #include "common/fault.h"
 #include "common/obs/chrome_trace.h"
 #include "common/obs/trace.h"
@@ -158,6 +160,27 @@ void report_storm(const core::Host& host) {
               host.fault_plan->fired().size());
 }
 
+// Rejects what the simulated machine cannot run before any Host is built,
+// so a typo fails with a message and exit status 2 instead of an abort.
+bool valid_options(const Options& opt) {
+  const auto apps = prim::app_names();
+  if (opt.app != "checksum" && opt.app != "search" &&
+      std::find(apps.begin(), apps.end(), opt.app) == apps.end()) {
+    std::fprintf(stderr, "unknown app '%s' (see --list)\n", opt.app.c_str());
+    return false;
+  }
+  const upmem::MachineConfig machine;
+  const std::uint32_t max_dpus =
+      machine.nr_ranks * machine.functional_dpus_per_rank;
+  if (opt.dpus < 1 || opt.dpus > max_dpus) {
+    std::fprintf(stderr, "--dpus must be between 1 and %u\n", max_dpus);
+    return false;
+  }
+  return true;
+}
+
+int run(const Options& opt);
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -208,7 +231,19 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
+  if (!valid_options(opt)) return 2;
+  try {
+    return run(opt);
+  } catch (const VpimError& e) {
+    // Backstop for inputs the up-front checks do not cover.
+    std::fprintf(stderr, "vpim-sim: %s\n", e.what());
+    return 2;
+  }
+}
 
+namespace {
+
+int run(const Options& opt) {
   core::VpimConfig config = config_by_label(opt.config);
   config.queue_depth = opt.depth;  // 0 falls through to VPIM_DEPTH / 1
   const std::uint32_t nr_devices = (opt.dpus + 59) / 60;
@@ -304,3 +339,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace

@@ -49,6 +49,8 @@ KvService::KvService(Frontend& fe, guest::GuestMemory& mem, SimClock& clock,
   VPIM_CHECK(config_.max_batch_ops >= 1, "KV needs a batch budget");
   VPIM_CHECK(config_.scan_limit >= 1 && config_.scan_limit <= kKvScanLimit,
              "scan_limit out of range");
+  VPIM_CHECK(!config_.hot_key_cache || config_.hot_cache_entries >= 1,
+             "hot_key_cache needs at least one entry");
   batch_hist_ = &obs_.metrics.histogram("vpim_kv_batch_ns", {});
   collector_ = obs_.metrics.add_collector([this](obs::Collection& out) {
     out.counter("vpim_kv_ops_total", {{"op", "get"}}, stats_.gets);
@@ -96,7 +98,7 @@ bool KvService::open() {
   window_load_.assign(config_.partitions, 0);
   window_batches_ = 0;
   cache_.clear();
-  cache_tick_ = 0;
+  lru_.clear();
   pending_.assign(config_.nr_dpus, {});
   stats_ = {};
 
@@ -221,7 +223,7 @@ void KvService::route(std::span<const KvOp> ops,
           auto it = cache_.find(op.key);
           if (it != cache_.end()) {
             clock_.advance(cost_.kv_cache_hit_ns);
-            it->second.tick = ++cache_tick_;
+            cache_touch(it->second);
             results[i].status = KvStatus::kOk;
             results[i].value = it->second.value;
             results[i].nresults = 1;
@@ -241,7 +243,7 @@ void KvService::route(std::span<const KvOp> ops,
           auto it = cache_.find(op.key);
           if (it != cache_.end()) {
             it->second.value = op.value;
-            it->second.tick = ++cache_tick_;
+            cache_touch(it->second);
           }
         }
         mutated_.insert(op.key);
@@ -252,7 +254,7 @@ void KvService::route(std::span<const KvOp> ops,
       }
       case KvOpKind::kDelete: {
         ++stats_.deletes;
-        cache_.erase(op.key);
+        cache_erase(op.key);
         mutated_.insert(op.key);
         const std::uint32_t p = partition_of(op.key, config_.partitions);
         ++window_load_[p];
@@ -342,7 +344,6 @@ std::size_t KvService::run_one_cycle(std::span<const KvOp> ops,
   // Stage every inbox through the SQ, one coalesced doorbell for the lot.
   {
     std::vector<Frontend::Ticket> tickets;
-    std::vector<std::uint32_t> ticket_dpu;
     for (std::uint32_t d = 0; d < config_.nr_dpus; ++d) {
       if (((active_mask >> d) & 1) == 0) continue;
       std::uint8_t* buf = inbox_buf_[d].data();
@@ -365,7 +366,6 @@ std::size_t KvService::run_one_cycle(std::span<const KvOp> ops,
            8 + cycle[d].size() * sizeof(KvOpSlot)});
       try {
         tickets.push_back(fe_.submit_write(m));
-        ticket_dpu.push_back(d);
       } catch (const VpimStatusError& e) {
         fail_dpu(d, map_transport_status(e.status()));
       }
@@ -393,7 +393,6 @@ std::size_t KvService::run_one_cycle(std::span<const KvOp> ops,
   // Read every outbox back through the SQ.
   {
     std::vector<Frontend::Ticket> tickets;
-    std::vector<std::uint32_t> ticket_dpu;
     for (std::uint32_t d = 0; d < config_.nr_dpus; ++d) {
       if (((active_mask >> d) & 1) == 0) continue;
       TransferMatrix m;
@@ -402,7 +401,6 @@ std::size_t KvService::run_one_cycle(std::span<const KvOp> ops,
                            cycle[d].size() * sizeof(KvResultSlot)});
       try {
         tickets.push_back(fe_.submit_read(m));
-        ticket_dpu.push_back(d);
       } catch (const VpimStatusError& e) {
         fail_dpu(d, map_transport_status(e.status()));
       }
@@ -435,7 +433,7 @@ void KvService::fail_unit(const KvOp& op, KvResult& out, KvStatus status) {
   // The write may or may not have landed: drop any cached copy so the
   // cache never serves a value the device did not acknowledge.
   if (op.kind == KvOpKind::kPut || op.kind == KvOpKind::kDelete) {
-    cache_.erase(op.key);
+    cache_erase(op.key);
   }
 }
 
@@ -486,19 +484,28 @@ void KvService::finish_scans(std::span<const KvOp> ops,
 void KvService::cache_insert(std::uint64_t key, std::uint64_t value) {
   auto it = cache_.find(key);
   if (it != cache_.end()) {
-    it->second = {value, ++cache_tick_};
+    it->second.value = value;
+    cache_touch(it->second);
     return;
   }
   if (cache_.size() >= config_.hot_cache_entries) {
-    // Deterministic LRU: ticks are unique, so the minimum is unique and
-    // the evicted entry does not depend on hash-map iteration order.
-    auto victim = cache_.begin();
-    for (auto jt = cache_.begin(); jt != cache_.end(); ++jt) {
-      if (jt->second.tick < victim->second.tick) victim = jt;
-    }
-    cache_.erase(victim);
+    // The front of the recency list is the least recently used key; the
+    // victim does not depend on hash-map iteration order.
+    cache_.erase(lru_.front());
+    lru_.pop_front();
   }
-  cache_.emplace(key, CacheEntry{value, ++cache_tick_});
+  cache_.emplace(key, CacheEntry{value, lru_.insert(lru_.end(), key)});
+}
+
+void KvService::cache_touch(CacheEntry& entry) {
+  lru_.splice(lru_.end(), lru_, entry.lru);
+}
+
+void KvService::cache_erase(std::uint64_t key) {
+  auto it = cache_.find(key);
+  if (it == cache_.end()) return;
+  lru_.erase(it->second.lru);
+  cache_.erase(it);
 }
 
 void KvService::maybe_rebalance() {

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -96,7 +97,7 @@ class KvService {
   };
   struct CacheEntry {
     std::uint64_t value = 0;
-    std::uint64_t tick = 0;
+    std::list<std::uint64_t>::iterator lru;  // this key's node in lru_
   };
   // One routed unit of work: op `index` against `partition` (scans fan
   // out to every partition, point ops produce exactly one unit).
@@ -121,6 +122,9 @@ class KvService {
   bool migrate_partition(std::uint32_t partition, std::uint32_t to_dpu);
   void update_wrank_footprint();
   void cache_insert(std::uint64_t key, std::uint64_t value);
+  // Marks a cached entry most recently used.
+  void cache_touch(CacheEntry& entry);
+  void cache_erase(std::uint64_t key);
   // Reaps completions for `tickets`; returns true when every ticket
   // completed with status 0.
   bool drain_tickets(const std::vector<core::Frontend::Ticket>& tickets);
@@ -139,9 +143,10 @@ class KvService {
   std::vector<std::uint64_t> window_load_;  // per partition, this window
   std::uint32_t window_batches_ = 0;
 
-  // Hot-key cache (deterministic LRU by insertion tick).
+  // Hot-key cache: a deterministic LRU. lru_ holds the cached keys from
+  // least to most recently used; the front is the next victim.
   std::unordered_map<std::uint64_t, CacheEntry> cache_;
-  std::uint64_t cache_tick_ = 0;
+  std::list<std::uint64_t> lru_;
   // Keys mutated in the batch being executed: GET results that raced a
   // same-batch mutation must not refill the cache.
   std::unordered_set<std::uint64_t> mutated_;

@@ -23,7 +23,7 @@ thread_local std::vector<std::vector<std::uint8_t>> t_stage_buffers;
 DpuCtx::DpuCtx(Dpu& dpu, std::uint32_t nr_tasklets, const CostModel& cost)
     : dpu_(dpu),
       nr_tasklets_(nr_tasklets),
-      cost_(cost),
+      cycles_per_byte_(cost.dpu_hz / (cost.mram_dma_gbps * 1e9)),
       instr_(nr_tasklets),
       buffers_(std::exchange(t_stage_buffers, {})) {
   VPIM_CHECK(nr_tasklets >= 1 && nr_tasklets <= kMaxTasklets,
@@ -46,22 +46,21 @@ void DpuCtx::mram_read(std::uint64_t mram_addr,
                        std::span<std::uint8_t> wram_buf) {
   VPIM_CHECK(wram_buf.size() <= kWramSize, "DMA larger than WRAM");
   dpu_.mram().read(mram_addr, wram_buf);
-  const double cycles_per_byte = cost_.dpu_hz / (cost_.mram_dma_gbps * 1e9);
-  instr_[tasklet_] +=
-      kDmaFixedCycles +
-      static_cast<std::uint64_t>(cycles_per_byte *
-                                 static_cast<double>(wram_buf.size()));
+  charge_dma(wram_buf.size());
 }
 
 void DpuCtx::mram_write(std::span<const std::uint8_t> wram_buf,
                         std::uint64_t mram_addr) {
   VPIM_CHECK(wram_buf.size() <= kWramSize, "DMA larger than WRAM");
   dpu_.mram().write(mram_addr, wram_buf);
-  const double cycles_per_byte = cost_.dpu_hz / (cost_.mram_dma_gbps * 1e9);
+  charge_dma(wram_buf.size());
+}
+
+void DpuCtx::charge_dma(std::uint64_t bytes) {
   instr_[tasklet_] +=
       kDmaFixedCycles +
-      static_cast<std::uint64_t>(cycles_per_byte *
-                                 static_cast<double>(wram_buf.size()));
+      static_cast<std::uint64_t>(cycles_per_byte_ *
+                                 static_cast<double>(bytes));
 }
 
 std::span<std::uint8_t> DpuCtx::symbol_bytes(std::string_view name) {

@@ -89,9 +89,12 @@ class DpuCtx {
   std::uint64_t stage_cycles() const;
 
  private:
+  void charge_dma(std::uint64_t bytes);
+
   Dpu& dpu_;
   std::uint32_t nr_tasklets_;
-  const CostModel& cost_;
+  // DMA streaming cost, priced once per context rather than per transfer.
+  double cycles_per_byte_;
   std::uint32_t tasklet_ = 0;
   std::uint32_t heap_used_ = 0;
   std::vector<std::uint64_t> instr_;  // per-tasklet issued instructions

@@ -14,7 +14,8 @@ void check_range(std::uint64_t offset, std::uint64_t size) {
 }
 }  // namespace
 
-void MramBank::read(std::uint64_t offset, std::span<std::uint8_t> out) const {
+void MramBank::read_slow(std::uint64_t offset,
+                         std::span<std::uint8_t> out) const {
   check_range(offset, out.size());
   std::uint64_t remaining = out.size();
   std::uint64_t src = offset;
@@ -34,7 +35,8 @@ void MramBank::read(std::uint64_t offset, std::span<std::uint8_t> out) const {
   }
 }
 
-void MramBank::write(std::uint64_t offset, std::span<const std::uint8_t> in) {
+void MramBank::write_slow(std::uint64_t offset,
+                          std::span<const std::uint8_t> in) {
   check_range(offset, in.size());
   if (in.empty()) return;
   ensure_table((offset + in.size() - 1) / kMramPageSize + 1);

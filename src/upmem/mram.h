@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -32,10 +33,38 @@ class MramBank {
   MramBank() = default;
 
   // Reads `out.size()` bytes starting at `offset`; absent pages read as 0.
-  void read(std::uint64_t offset, std::span<std::uint8_t> out) const;
+  // A non-empty access inside one present page is a single memcpy (the
+  // common small DMA of a DPU kernel); everything else takes read_slow.
+  // The page index bounds the table, so the fast path needs no separate
+  // range check.
+  void read(std::uint64_t offset, std::span<std::uint8_t> out) const {
+    const std::uint64_t page = offset / kMramPageSize;
+    const std::uint64_t in_page = offset % kMramPageSize;
+    if (!out.empty() && out.size() <= kMramPageSize - in_page &&
+        page < pages_.size() && pages_[page]) {
+      std::memcpy(out.data(), pages_[page]->bytes.data() + in_page,
+                  out.size());
+      return;
+    }
+    read_slow(offset, out);
+  }
 
-  // Writes `in.size()` bytes starting at `offset` (copy-on-write).
-  void write(std::uint64_t offset, std::span<const std::uint8_t> in);
+  // Writes `in.size()` bytes starting at `offset` (copy-on-write). Same
+  // single-page fast path as read, taken only when this bank is the page's
+  // sole owner: a page shared with another bank goes through write_slow,
+  // which copies it first.
+  void write(std::uint64_t offset, std::span<const std::uint8_t> in) {
+    const std::uint64_t page = offset / kMramPageSize;
+    const std::uint64_t in_page = offset % kMramPageSize;
+    if (!in.empty() && in.size() <= kMramPageSize - in_page &&
+        page < pages_.size() && pages_[page] &&
+        pages_[page].use_count() == 1) {
+      std::memcpy(pages_[page]->bytes.data() + in_page, in.data(),
+                  in.size());
+      return;
+    }
+    write_slow(offset, in);
+  }
 
   // Shares pre-built immutable pages starting at page-aligned `offset`.
   // Used by broadcast transfers: N banks end up referencing one page set.
@@ -64,6 +93,9 @@ class MramBank {
       const std::vector<std::pair<std::uint32_t, MramPageRef>>& pages);
 
  private:
+  // General paths: bounds check, then page by page across the access.
+  void read_slow(std::uint64_t offset, std::span<std::uint8_t> out) const;
+  void write_slow(std::uint64_t offset, std::span<const std::uint8_t> in);
   MramPage& page_for_write(std::uint64_t page_index);
   // Grows the table to hold at least `nr_pages` slots (never shrinks).
   void ensure_table(std::uint64_t nr_pages);

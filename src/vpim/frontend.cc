@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 #include "common/error.h"
 #include "upmem/layout.h"
@@ -219,12 +220,17 @@ virtio::PimConfigSpace Frontend::config_space() const {
 
 // ------------------------------------------------------------- rank ops
 
-void Frontend::write_to_rank(const driver::TransferMatrix& matrix) {
+void Frontend::write_to_rank(const driver::TransferMatrix& request) {
   VPIM_CHECK(open_, "write-to-rank on an unlinked device");
-  VPIM_CHECK(matrix.direction == driver::XferDirection::kToRank,
+  VPIM_CHECK(request.direction == driver::XferDirection::kToRank,
              "write_to_rank called with a read matrix");
+  const driver::TransferMatrix& matrix = drop_empty_entries(request);
   check_dpus(matrix);
   DeviceOp op(*this, obs::SpanKind::kWrite, &matrix);
+  if (matrix.entries.empty()) {  // nothing to move: no message
+    op.done(RankOp::kWriteToRank);
+    return;
+  }
   // Any write makes cached MRAM contents stale.
   invalidate_cache();
   if (config_.request_batching && try_batch(matrix)) {
@@ -236,14 +242,19 @@ void Frontend::write_to_rank(const driver::TransferMatrix& matrix) {
   op.done(RankOp::kWriteToRank);
 }
 
-void Frontend::read_from_rank(const driver::TransferMatrix& matrix) {
+void Frontend::read_from_rank(const driver::TransferMatrix& request) {
   VPIM_CHECK(open_, "read-from-rank on an unlinked device");
-  VPIM_CHECK(matrix.direction == driver::XferDirection::kFromRank,
+  VPIM_CHECK(request.direction == driver::XferDirection::kFromRank,
              "read_from_rank called with a write matrix");
+  const driver::TransferMatrix& matrix = drop_empty_entries(request);
   check_dpus(matrix);
   SimClock& clock = vmm_.clock();
   const CostModel& cost = vmm_.cost();
   DeviceOp op(*this, obs::SpanKind::kRead, &matrix);
+  if (matrix.entries.empty()) {  // nothing to move: no message
+    op.done(RankOp::kReadFromRank);
+    return;
+  }
   flush_batch();  // non-write request; also required for coherence
 
   const bool cacheable =
@@ -328,6 +339,19 @@ void Frontend::check_dpus(const driver::TransferMatrix& matrix) const {
     VPIM_CHECK(e.dpu < config_space_.nr_dpus,
                "transfer entry targets a DPU beyond the bound rank");
   }
+}
+
+const driver::TransferMatrix& Frontend::drop_empty_entries(
+    const driver::TransferMatrix& matrix) {
+  auto is_empty = [](const driver::XferEntry& e) { return e.size == 0; };
+  if (std::none_of(matrix.entries.begin(), matrix.entries.end(), is_empty)) {
+    return matrix;
+  }
+  sized_scratch_.direction = matrix.direction;
+  sized_scratch_.entries.clear();
+  std::remove_copy_if(matrix.entries.begin(), matrix.entries.end(),
+                      std::back_inserter(sized_scratch_.entries), is_empty);
+  return sized_scratch_;
 }
 
 bool Frontend::try_batch(const driver::TransferMatrix& matrix) {
@@ -903,22 +927,34 @@ void Frontend::ci_push_symbols(driver::XferDirection dir,
 
 // ------------------------------------------------------- async SQ/CQ API
 
-Frontend::Ticket Frontend::submit_async(const driver::TransferMatrix& matrix,
-                                        bool is_write, SimNs deadline_ns,
-                                        bool admitted, SimNs admit_t0) {
+Frontend::Ticket Frontend::submit_async(
+    const driver::TransferMatrix& request, bool is_write, SimNs deadline_ns,
+    bool admitted, SimNs admit_t0) {
   VPIM_CHECK(open_, is_write ? "write-to-rank on an unlinked device"
                              : "read-from-rank on an unlinked device");
   if (is_write) {
-    VPIM_CHECK(matrix.direction == driver::XferDirection::kToRank,
+    VPIM_CHECK(request.direction == driver::XferDirection::kToRank,
                "submit_write called with a read matrix");
   } else {
-    VPIM_CHECK(matrix.direction == driver::XferDirection::kFromRank,
+    VPIM_CHECK(request.direction == driver::XferDirection::kFromRank,
                "submit_read called with a write matrix");
   }
+  const driver::TransferMatrix& matrix = drop_empty_entries(request);
   check_dpus(matrix);
   SimClock& clock = vmm_.clock();
   DeviceOp op(*this, is_write ? obs::SpanKind::kWrite : obs::SpanKind::kRead,
               &matrix);
+  if (matrix.entries.empty()) {
+    // Nothing to move: complete at once, without a message, and return
+    // the admission unit like a reap would.
+    if (admitted) {
+      backend_.admission()->complete(clock.now(), clock.now() - admit_t0);
+    }
+    const Ticket ticket = ++next_ticket_;
+    cq_.push_back({ticket, 0, 0, is_write});
+    op.done(is_write ? RankOp::kWriteToRank : RankOp::kReadFromRank);
+    return ticket;
+  }
   // Any write makes cached MRAM contents stale; batched writes must not
   // land after this one (write -> read ordering on the read path).
   if (is_write) invalidate_cache();

@@ -218,6 +218,11 @@ class Frontend {
   void ensure_arenas();
   void alloc_arena(WireArena& arena, guest::GuestMemory& mem);
   void check_dpus(const driver::TransferMatrix& matrix) const;
+  // Size-0 entries move nothing: the native driver skips them and the wire
+  // format rejects them. Returns `matrix` when it has none, otherwise a
+  // copy without them (in sized_scratch_, valid until the next call).
+  const driver::TransferMatrix& drop_empty_entries(
+      const driver::TransferMatrix& matrix);
   void send_rank_op(const driver::TransferMatrix& matrix, bool is_write,
                     std::uint32_t flags);
   // Serializes into the next free slot and publishes the chain on the
@@ -332,8 +337,10 @@ class Frontend {
   std::uint64_t batch_pending_ = 0;  // total records pending
   // Pooled request-path working set, reused across device-file calls so
   // the steady-state hot path performs no heap allocation: the transfer
-  // matrices assembled for prefetch fills, residual direct reads, and
-  // batch flushes. (Serialization scratch lives in the SQ slots.)
+  // matrices assembled for prefetch fills, residual direct reads, batch
+  // flushes and size-0 entry filtering. (Serialization scratch lives in
+  // the SQ slots.)
+  driver::TransferMatrix sized_scratch_;
   driver::TransferMatrix fill_scratch_;
   driver::TransferMatrix direct_scratch_;
   driver::TransferMatrix flush_scratch_;

@@ -196,6 +196,34 @@ TEST(AdmissionEndToEnd, TrySubmitShedsTypedAndNothingIsLost) {
   fe.close();
 }
 
+// A matrix of size-0 entries sends no message and completes at submit, so
+// its admission unit must come back then, not at a reap that never sees it.
+TEST(AdmissionEndToEnd, EmptySubmitReturnsItsAdmissionUnitAtOnce) {
+  Host host(test::small_machine());
+  AdmissionConfig acfg;
+  acfg.tokens_per_sec = 1000;
+  acfg.bucket_burst = 100;
+  acfg.global_inflight_budget = 2;
+  host.install_admission(acfg);
+  VpimVm vm(host, {.name = "adm"}, 1, pipe_config(/*depth=*/4));
+  Frontend& fe = vm.device(0).frontend;
+  ASSERT_TRUE(fe.open());
+
+  auto buf = vm.vmm().memory().alloc(8);
+  const auto empty = one_entry(buf.first(0), driver::XferDirection::kToRank);
+  const std::uint64_t doorbells = vm.device(0).stats.doorbells;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(fe.try_submit_write(empty).ok()) << "submit " << i;
+  }
+  EXPECT_EQ(host.admission->stats().completed, 3u);
+  EXPECT_EQ(host.admission->stats().inflight, 0u);
+  const auto done = fe.poll_completions();
+  ASSERT_EQ(done.size(), 3u);
+  for (const auto& c : done) EXPECT_EQ(c.status, 0);
+  EXPECT_EQ(vm.device(0).stats.doorbells, doorbells);
+  fe.close();
+}
+
 TEST(AdmissionEndToEnd, TokenBucketRejectIsPerTenant) {
   Host host(test::small_machine());
   AdmissionConfig acfg;

@@ -98,14 +98,7 @@ std::vector<std::uint8_t> run_copy_script(guest::GuestMemory& mem,
 
 CopyTarget frontend_target(Frontend& fe) {
   CopyTarget t;
-  t.transfer = [&fe](const driver::TransferMatrix& full) {
-    // The wire format has no zero-size entries (serialization rejects
-    // them), so only the driver paths see the script's empty entry.
-    driver::TransferMatrix m;
-    m.direction = full.direction;
-    for (const driver::XferEntry& e : full.entries) {
-      if (e.size > 0) m.entries.push_back(e);
-    }
+  t.transfer = [&fe](const driver::TransferMatrix& m) {
     if (m.direction == driver::XferDirection::kToRank) {
       fe.write_to_rank(m);
     } else {

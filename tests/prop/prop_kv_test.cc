@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "kv/kv_service.h"
+#include "kv/loadgen.h"
 #include "tests/testutil.h"
 #include "vpim/host.h"
 #include "vpim/vpim_vm.h"
@@ -296,6 +298,115 @@ TEST_F(PropKvThreads, BitIdenticalAcrossThreadCounts) {
       },
       show_case);
   EXPECT_TRUE(out.ok) << out.reproducer;
+}
+
+// ---- the hot-key cache is exactly the tick-ordered LRU -------------------
+//
+// Replays a seeded Zipf trace one op per batch (so no GET ever races a
+// same-batch mutation) and checks every op's cache_hit against an
+// in-test reference: a plain map from key to last-use tick that evicts the
+// smallest tick when full, refreshes on GET and PUT hits, drops on DELETE
+// and fills on a GET miss that found the key.
+
+class TickLru {
+ public:
+  explicit TickLru(std::size_t capacity) : capacity_(capacity) {}
+
+  bool get(std::uint64_t key, bool found) {
+    auto it = tick_of_.find(key);
+    if (it != tick_of_.end()) {
+      it->second = ++tick_;
+      return true;
+    }
+    if (found) {
+      if (tick_of_.size() == capacity_) {
+        tick_of_.erase(std::min_element(
+            tick_of_.begin(), tick_of_.end(),
+            [](const auto& a, const auto& b) { return a.second < b.second; }));
+        ++evictions_;
+      }
+      tick_of_[key] = ++tick_;
+    }
+    return false;
+  }
+  void put(std::uint64_t key) {
+    auto it = tick_of_.find(key);
+    if (it != tick_of_.end()) it->second = ++tick_;
+  }
+  void del(std::uint64_t key) { tick_of_.erase(key); }
+  std::uint64_t evictions() const { return evictions_; }
+
+ private:
+  std::size_t capacity_;
+  std::map<std::uint64_t, std::uint64_t> tick_of_;
+  std::uint64_t tick_ = 0;
+  std::uint64_t evictions_ = 0;
+};
+
+TEST(PropKvCache, HitsMatchTickOrderedLru) {
+  core::Host host(test::small_machine(), CostModel{}, fast_manager());
+  VpimVm vm(host, {.name = "prop-kv-lru"}, 1, depth_config(1));
+  const kv::KvConfig cfg = test_kv_config();
+  kv::KvService svc(vm.device(0).frontend, vm.vmm().memory(), host.clock,
+                    host.cost, host.obs, cfg);
+  ASSERT_TRUE(svc.open());
+  KvOracle oracle(cfg.partitions, cfg.slot_capacity, cfg.scan_limit);
+  TickLru ref(cfg.hot_cache_entries);
+
+  kv::LoadgenConfig lg;
+  lg.seed = 0x4B5604;
+  lg.nr_ops = 1500;
+  lg.key_space = 40;  // > 8 cache entries, < 48 store records
+  lg.zipf_theta_permille = 990;
+  lg.put_permille = 300;
+  lg.delete_permille = 50;
+  lg.scan_permille = 0;
+  const std::vector<kv::KvTraceOp> trace = kv::generate_trace(lg);
+  std::uint64_t hits = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const kv::KvOp& op = trace[i].op;
+    bool want_hit = false;
+    switch (op.kind) {
+      case kv::KvOpKind::kGet:
+        want_hit = ref.get(op.key, oracle.get(op.key).status ==
+                                       static_cast<std::uint32_t>(
+                                           kv::KvStatus::kOk));
+        break;
+      case kv::KvOpKind::kPut:
+        oracle.put(op.key, op.value);
+        ref.put(op.key);
+        break;
+      case kv::KvOpKind::kDelete:
+        oracle.del(op.key);
+        ref.del(op.key);
+        break;
+      case kv::KvOpKind::kScan: break;
+    }
+    const std::vector<kv::KvResult> got = svc.execute({&op, 1});
+    ASSERT_EQ(got.size(), 1u);
+    ASSERT_EQ(got[0].cache_hit, want_hit)
+        << "op " << i << " (key " << op.key << ") diverged from the LRU";
+    hits += want_hit ? 1 : 0;
+  }
+  // The trace must exercise both hits and a steady stream of evictions.
+  EXPECT_GT(hits, 100u);
+  EXPECT_GT(ref.evictions(), 100u);
+  EXPECT_EQ(svc.stats().cache_hits, hits);
+  svc.close();
+}
+
+TEST(PropKvCache, ZeroEntryCacheIsRejected) {
+  core::Host host(test::small_machine(), CostModel{}, fast_manager());
+  VpimVm vm(host, {.name = "prop-kv-zero"}, 1, depth_config(1));
+  kv::KvConfig cfg = test_kv_config();
+  cfg.hot_cache_entries = 0;
+  EXPECT_THROW(kv::KvService(vm.device(0).frontend, vm.vmm().memory(),
+                             host.clock, host.cost, host.obs, cfg),
+               VpimError);
+  // Without the cache the entry count is irrelevant.
+  cfg.hot_key_cache = false;
+  EXPECT_NO_THROW(kv::KvService(vm.device(0).frontend, vm.vmm().memory(),
+                                host.clock, host.cost, host.obs, cfg));
 }
 
 // ---- teeth: the planted scan off-by-one must be caught and shrink -------

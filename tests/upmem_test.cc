@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <numeric>
 
 #include "common/rng.h"
 #include "tests/testutil.h"
+#include "upmem/dpu.h"
 #include "upmem/interleave.h"
 #include "upmem/kernel.h"
 #include "upmem/mram.h"
@@ -175,6 +177,86 @@ TEST(Mram, SparseBankRoundTripsThroughExportImportAndCopy) {
   std::vector<std::uint8_t> out(32);
   src.read(0, out);
   EXPECT_EQ(out, low);
+}
+
+// A non-empty access inside one present page is served by a single
+// memcpy; these pin its edges against the page-by-page general path.
+
+TEST(Mram, AccessEndingAtPageEndAndOneCrossingIt) {
+  MramBank bank;
+  const std::vector<std::uint8_t> low(16, 0x11);
+  const std::vector<std::uint8_t> high(16, 0x22);
+  bank.write(kMramPageSize - low.size(), low);  // ends exactly at page end
+  bank.write(kMramPageSize, high);              // first bytes of page 1
+  std::vector<std::uint8_t> out(16);
+  bank.read(kMramPageSize - out.size(), out);
+  EXPECT_EQ(out, low);
+
+  std::vector<std::uint8_t> both(32);
+  bank.read(kMramPageSize - 16, both);  // crosses into page 1
+  for (std::size_t i = 0; i < both.size(); ++i) {
+    ASSERT_EQ(both[i], i < 16 ? 0x11 : 0x22) << "byte " << i;
+  }
+  const std::vector<std::uint8_t> patch(8, 0x33);
+  bank.write(kMramPageSize - 4, patch);  // crossing write
+  bank.read(kMramPageSize - 16, both);
+  for (std::size_t i = 0; i < both.size(); ++i) {
+    const std::uint8_t want = i >= 12 && i < 20 ? 0x33
+                              : i < 16          ? 0x11
+                                                : 0x22;
+    ASSERT_EQ(both[i], want) << "byte " << i;
+  }
+}
+
+TEST(Mram, AbsentPageInsideTableReadsZero) {
+  MramBank bank;
+  const std::vector<std::uint8_t> data(8, 0x44);
+  bank.write(3 * kMramPageSize, data);  // the table now covers pages 0..3
+  std::vector<std::uint8_t> out(8, 0xFF);
+  bank.read(kMramPageSize + 100, out);
+  for (auto b : out) EXPECT_EQ(b, 0);
+  EXPECT_EQ(bank.resident_pages(), 1u);
+}
+
+// Two banks sharing page 0 of one broadcast, with the builder's own
+// references already dropped.
+void share_page(MramBank& a, MramBank& b) {
+  const std::vector<std::uint8_t> data(kMramPageSize, 0xAB);
+  const auto pages = MramBank::build_pages(data);
+  a.adopt_pages(0, pages);
+  b.adopt_pages(0, pages);
+}
+
+const MramPage* page0(const MramBank& bank) {
+  return bank.export_pages().at(0).second.get();
+}
+
+TEST(Mram, OneByteWriteIntoSharedPageStaysPrivate) {
+  MramBank a, b;
+  share_page(a, b);
+  const MramPage* shared = page0(a);
+  const std::vector<std::uint8_t> one = {0x01};
+  a.write(5, one);
+  std::vector<std::uint8_t> out(1);
+  b.read(5, out);
+  EXPECT_EQ(out[0], 0xAB) << "write into a shared page leaked";
+  a.read(5, out);
+  EXPECT_EQ(out[0], 0x01);
+  EXPECT_NE(page0(a), shared);
+  EXPECT_EQ(page0(b), shared);
+}
+
+TEST(Mram, OneByteWriteLandsInPlaceOnceSharerClears) {
+  MramBank a, b;
+  share_page(a, b);
+  const MramPage* shared = page0(a);
+  b.clear();
+  const std::vector<std::uint8_t> one = {0x01};
+  a.write(5, one);
+  EXPECT_EQ(page0(a), shared) << "sole-owned page was copied";
+  std::vector<std::uint8_t> out(2);
+  a.read(4, out);
+  EXPECT_EQ(out, std::vector<std::uint8_t>({0xAB, 0x01}));
 }
 
 // ------------------------------------------------------------ interleave
@@ -465,6 +547,38 @@ TEST(DpuKernel, WramHeapExactFitSucceedsOneMoreByteThrows) {
 }
 
 // ------------------------------------------------------------------ rank
+
+// One DMA charges a fixed 64 cycles plus floor(cycles_per_byte * n), with
+// cycles_per_byte = dpu_hz / (mram_dma_gbps * 1e9): 0.35 at the defaults.
+TEST(DpuKernel, DmaChargesFixedPlusStreamingCycles) {
+  const CostModel cost;
+  const double cycles_per_byte = cost.dpu_hz / (cost.mram_dma_gbps * 1e9);
+  Dpu dpu;
+  std::vector<std::uint8_t> buf(2048);
+  dpu.mram().write(0, buf);
+  for (const auto& [bytes, cycles] :
+       {std::pair<std::size_t, std::uint64_t>{1, 64},
+        {16, 69},
+        {2048, 780}}) {
+    const auto streaming = static_cast<std::uint64_t>(
+        std::floor(cycles_per_byte * static_cast<double>(bytes)));
+    EXPECT_EQ(cycles, 64 + streaming) << bytes << " bytes";
+    for (const bool write : {false, true}) {
+      DpuCtx ctx(dpu, 1, cost);
+      ctx.begin_stage();
+      ctx.set_tasklet(0);
+      const std::span<std::uint8_t> wram(buf.data(), bytes);
+      if (write) {
+        ctx.mram_write(wram, 0);
+      } else {
+        ctx.mram_read(0, wram);
+      }
+      // One busy tasklet: its instructions issue kPipelineDepth apart.
+      EXPECT_EQ(ctx.stage_cycles(), kPipelineDepth * cycles)
+          << bytes << (write ? "-byte write" : "-byte read");
+    }
+  }
+}
 
 TEST(Rank, MaskValidation) {
   test::TestRig rig(test::small_machine());  // 8 DPUs per rank

@@ -81,6 +81,76 @@ TEST(VpimVm, CountZerosMatchesNativeExactly) {
   EXPECT_EQ(virt, nat);  // same seed, same partitioning, same answer
 }
 
+// Writes {size 0, size 8} and {size 0} matrices through one rank device,
+// then reads the touched DPUs back through matrices that carry size-0
+// entries too; returns the read-back bytes.
+std::vector<std::uint8_t> run_size_zero_script(sdk::Platform& platform,
+                                               sdk::RankDevice& dev) {
+  auto in = platform.alloc(8);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    in[i] = static_cast<std::uint8_t>(i + 1);
+  }
+  using driver::XferDirection;
+  dev.transfer({XferDirection::kToRank,
+                {{2, 64, in.data(), 0}, {3, 64, in.data(), 8}}});
+  dev.transfer({XferDirection::kToRank, {{4, 64, in.data(), 0}}});
+
+  auto out = platform.alloc(32);
+  std::memset(out.data(), 0xCC, out.size());
+  dev.transfer({XferDirection::kFromRank, {{5, 0, out.data(), 0}}});
+  dev.transfer({XferDirection::kFromRank,
+                {{2, 60, out.data(), 16},
+                 {6, 0, out.data(), 0},
+                 {3, 60, out.data() + 16, 16}}});
+  return {out.begin(), out.end()};
+}
+
+// A size-0 entry moves nothing on either platform: the native copy skips
+// it and the frontend drops it before serializing (the wire format has no
+// size-0 entries). A matrix left with no entries sends no message.
+TEST(VpimVm, SizeZeroEntriesBehaveLikeNative) {
+  test::TestRig native_rig(test::small_machine());
+  const auto native_ranks = native_rig.native.alloc_ranks(1);
+  const auto native = run_size_zero_script(native_rig.native,
+                                           *native_ranks.at(0));
+  VmRig rig;
+  const auto virt_ranks = rig.platform.alloc_ranks(1);
+  const auto virt = run_size_zero_script(rig.platform, *virt_ranks.at(0));
+  EXPECT_EQ(virt, native);
+  std::vector<std::uint8_t> expect(32, 0);
+  for (std::size_t i = 0; i < 8; ++i) {
+    expect[16 + 4 + i] = static_cast<std::uint8_t>(i + 1);
+  }
+  EXPECT_EQ(native, expect);
+
+  // The same MRAM images, bank by bank.
+  const std::uint32_t vrank = rig.vm.device(0).backend.rank_index();
+  for (std::uint32_t d = 0; d < 8; ++d) {
+    std::vector<std::uint8_t> a(128), b(128);
+    native_rig.machine.rank(0).mram(d).read(0, a);
+    rig.host.machine.rank(vrank).mram(d).read(0, b);
+    EXPECT_EQ(a, b) << "dpu " << d;
+  }
+
+  // Async submits of an all-empty matrix complete OK without a doorbell.
+  Frontend& fe = rig.vm.device(0).frontend;
+  const std::uint64_t doorbells = fe.stats().doorbells;
+  auto buf = rig.platform.alloc(8);
+  const auto w = fe.submit_write(
+      {driver::XferDirection::kToRank, {{1, 0, buf.data(), 0}}});
+  const auto r = fe.submit_read(
+      {driver::XferDirection::kFromRank, {{1, 0, buf.data(), 0}}});
+  const auto done = fe.poll_completions();
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].ticket, w);
+  EXPECT_EQ(done[1].ticket, r);
+  for (const auto& c : done) {
+    EXPECT_EQ(c.status, 0);
+    EXPECT_EQ(c.bytes, 0u);
+  }
+  EXPECT_EQ(fe.stats().doorbells, doorbells);
+}
+
 TEST(VpimVm, VirtualizationCostsMoreThanNative) {
   VmRig rig;
   const SimNs v0 = rig.host.clock.now();

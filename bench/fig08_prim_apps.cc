@@ -42,7 +42,8 @@ void bench_app(benchmark::State& state, const std::string& name,
   }
 }
 
-void print_summary() {
+// Returns false when any app's DPU result disagrees with its CPU reference.
+bool print_summary() {
   print_header(
       "Fig 8 - PrIM applications, strong scaling (60 vs 480 DPUs)",
       "overhead 1.01x-2.07x @60 DPUs (avg 1.24x), 1.02x-2.89x @480 DPUs "
@@ -53,6 +54,7 @@ void print_summary() {
               "#DPU", "CPU-DPU", "DPU", "Inter-DPU", "DPU-CPU", "total",
               "overhead", "ok");
   std::vector<double> overheads60, overheads480;
+  bool all_correct = true;
   for (const auto& app : prim::app_names()) {
     for (std::uint32_t dpus : {60u, 480u}) {
       auto it = g_rows.find({app, dpus});
@@ -78,6 +80,7 @@ void print_summary() {
           std::printf(" %8s |", "-");
         }
         std::printf(" %s\n", r.correct ? "yes" : "NO");
+        all_correct &= r.correct;
       }
     }
   }
@@ -96,6 +99,11 @@ void print_summary() {
                 *std::max_element(overheads480.begin(),
                                   overheads480.end()));
   }
+  if (!all_correct) {
+    std::fprintf(stderr, "FAIL: an app's result disagrees with its CPU "
+                         "reference (ok = NO above)\n");
+  }
+  return all_correct;
 }
 
 }  // namespace
@@ -122,8 +130,8 @@ int main(int argc, char** argv) {
     }
   }
   benchmark::RunSpecifiedBenchmarks();
-  print_summary();
+  const bool ok = print_summary();
   write_bench_json("fig08", g_points);
   benchmark::Shutdown();
-  return 0;
+  return ok ? 0 : 1;
 }

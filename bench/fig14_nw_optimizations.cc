@@ -3,9 +3,14 @@
 // request batching cuts CPU-DPU and Inter-DPU writes ~95.8%/95.3%, the
 // combination improves vPIM-C by ~10.8x; unoptimized vPIM-C is ~53x
 // native.
+//
+// Emits BENCH_fig14.json (one point per config plus native) and fails
+// (exit 1) if any run's NW result disagrees with the CPU reference or the
+// deep queue does not cut VMEXITs per message.
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -20,6 +25,8 @@ struct Row {
 std::map<int, Row> g_rows;  // ordered by config index
 SimNs g_native_total = 0;
 prim::AppResult g_native;
+std::vector<BenchPoint> g_points;
+bool g_all_correct = true;
 
 const std::vector<core::VpimConfig>& configs() {
   static const std::vector<core::VpimConfig> kConfigs = [] {
@@ -57,10 +64,22 @@ prim::AppParams nw_params() {
   return prm;
 }
 
+void record(const std::string& name, const prim::AppResult& res,
+            double wall_ms) {
+  g_points.push_back({name, res.total(), wall_ms});
+  if (!res.correct) {
+    g_all_correct = false;
+    std::fprintf(stderr, "FAIL: %s: NW result disagrees with the CPU "
+                         "reference\n", name.c_str());
+  }
+}
+
 void run_native(benchmark::State& state) {
   for (auto _ : state) {
     NativeRig rig;
+    WallTimer wall;
     g_native = prim::make_app("NW")->run(rig.platform, nw_params());
+    record("fig14/native", g_native, wall.elapsed_ms());
     g_native_total = g_native.total();
     state.SetIterationTime(ns_to_s(g_native_total));
     state.counters["correct"] = g_native.correct ? 1 : 0;
@@ -72,7 +91,9 @@ void run_config(benchmark::State& state, int index) {
   for (auto _ : state) {
     VmRig rig(config, 1);
     Row row;
+    WallTimer wall;
     row.app = prim::make_app("NW")->run(rig.platform, nw_params());
+    record("fig14/" + config.label, row.app, wall.elapsed_ms());
     row.stats = rig.vm.device(0).stats;
     state.SetIterationTime(ns_to_s(row.app.total()));
     state.counters["correct"] = row.app.correct ? 1 : 0;
@@ -150,6 +171,7 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   const bool ok = print_summary();
+  write_bench_json("fig14", g_points);
   benchmark::Shutdown();
-  return ok ? 0 : 1;
+  return ok && g_all_correct ? 0 : 1;
 }

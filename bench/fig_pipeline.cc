@@ -11,7 +11,8 @@
 //
 // Emits BENCH_pipeline.json with a vmexits_per_op column next to the
 // standard simulated_ns/wall_ms pair, and fails (exit 1) if modeled
-// vmexits/op on the async lane is not strictly decreasing with depth.
+// vmexits/op on the async lane is not strictly decreasing with depth, or if
+// any run's data comes back wrong.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -32,6 +33,7 @@ struct Row {
   double wall_ms = 0.0;
   double vmexits_per_op = 0.0;
   bool checksum_lane = false;
+  bool correct = false;
 };
 std::vector<Row> g_rows;  // registration order = depth order per lane
 
@@ -157,7 +159,7 @@ void run_checksum_depth(benchmark::State& state, std::uint32_t depth) {
     state.counters["doorbells"] = static_cast<double>(doorbells);
     state.counters["vmexits_per_op"] = per_op;
     g_rows.push_back({"pipeline/checksum/depth:" + std::to_string(depth),
-                      simulated, wall, per_op, true});
+                      simulated, wall, per_op, true, correct});
   }
 }
 
@@ -188,7 +190,7 @@ void run_nw_depth(benchmark::State& state, std::uint32_t depth) {
     state.counters["correct"] = res.correct ? 1 : 0;
     state.counters["vmexits_per_op"] = per_op;
     g_rows.push_back({"pipeline/NW/depth:" + std::to_string(depth),
-                      res.total(), wall, per_op, false});
+                      res.total(), wall, per_op, false, res.correct});
   }
 }
 
@@ -218,7 +220,8 @@ void write_pipeline_json() {
 }
 
 // Returns false if the async lane's vmexits/op does not strictly decrease
-// as depth grows — the tentpole's core modeled claim.
+// as depth grows — the lane's core modeled claim — or if any run's data
+// came back wrong.
 bool print_summary() {
   print_header(
       "Pipeline - SQ/CQ depth sweep (single rank)",
@@ -253,7 +256,13 @@ bool print_summary() {
                  "FAIL: async-lane vmexits/op is not strictly decreasing "
                  "with depth\n");
   }
-  return monotonic;
+  bool all_correct = true;
+  for (const Row& row : g_rows) {
+    if (row.correct) continue;
+    all_correct = false;
+    std::fprintf(stderr, "FAIL: %s returned wrong data\n", row.name.c_str());
+  }
+  return monotonic && all_correct;
 }
 
 }  // namespace

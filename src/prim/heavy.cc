@@ -6,10 +6,12 @@
 //
 // TRNS (matrix transposition): tile-by-tile transposition driven by a
 // large number of ~1 KiB writes and reads (§5.2 fifth observation).
+#include <algorithm>
 #include <cstring>
 
 #include "common/rng.h"
 #include "prim/apps.h"
+#include "prim/nw_tile.h"
 #include "prim/util.h"
 #include "upmem/kernel.h"
 
@@ -50,7 +52,19 @@ struct NwSlotOut {
   std::int32_t right[kNwBlock];       // H[row0+1 .. row0+B][col0+B]
 };
 
-constexpr std::int32_t kMatch = 1, kMismatch = -1, kGap = -1;
+// One anti-diagonal run of n cells. cur[t] holds the cell's diagonal
+// neighbour H[i-1][j-1] and receives H[i][j]; prev[t] and prev[t + 1] are
+// its upper and left neighbours H[i-1][j] and H[i][j-1].
+void nw_diagonal(std::int32_t* __restrict cur,
+                 const std::int32_t* __restrict prev,
+                 const std::uint8_t* __restrict a,
+                 const std::uint8_t* __restrict b_rev, std::size_t n) {
+  for (std::size_t t = 0; t < n; ++t) {
+    const std::int32_t sub =
+        cur[t] + (a[t] == b_rev[t] ? kNwMatch : kNwMismatch);
+    cur[t] = std::max(sub, std::max(prev[t], prev[t + 1]) + kNwGap);
+  }
+}
 
 void nw_load_nblocks(DpuCtx& ctx) {
   if (ctx.me() != 0) return;
@@ -61,41 +75,30 @@ void nw_load_nblocks(DpuCtx& ctx) {
 }
 
 void nw_stage(DpuCtx& ctx) {
-  const auto args = ctx.var<NwArgs>("nw_args");
   const std::uint32_t nblocks = ctx.var<std::uint32_t>("nw_nblocks");
   const auto [sb, se] = partition(nblocks, ctx.nr_tasklets(), ctx.me());
   if (sb >= se) return;
+  const auto args = ctx.var<NwArgs>("nw_args");
   auto in_buf = ctx.mem_alloc(sizeof(NwSlotIn));
   auto out_buf = ctx.mem_alloc(sizeof(NwSlotOut));
   auto a_buf = ctx.mem_alloc(kNwBlock);
   auto b_buf = ctx.mem_alloc(kNwBlock);
-  auto h_prev = as<std::int32_t>(ctx.mem_alloc((kNwBlock + 1) * 4));
-  auto h_cur = as<std::int32_t>(ctx.mem_alloc((kNwBlock + 1) * 4));
+  // Two anti-diagonals, 1032 B. Every busy tasklet holds all five buffers,
+  // and 19 busy tasklets must still fit the WRAM heap.
+  auto scratch = as<std::int32_t>(ctx.mem_alloc(
+      nw_tile_scratch(kNwBlock, kNwBlock) * sizeof(std::int32_t)));
 
   for (std::uint64_t s = sb; s < se; ++s) {
     ctx.mram_read(args.in_off + s * sizeof(NwSlotIn), in_buf);
     NwSlotIn in;
     std::memcpy(&in, in_buf.data(), sizeof(in));
-    ctx.mram_read(args.a_off + in.a_base, a_buf.first(kNwBlock));
-    ctx.mram_read(args.b_off + in.b_base, b_buf.first(kNwBlock));
+    ctx.mram_read(args.a_off + in.a_base, a_buf);
+    ctx.mram_read(args.b_off + in.b_base, b_buf);
+    std::reverse(b_buf.begin(), b_buf.end());  // nw_tile takes b reversed
 
     NwSlotOut out;
-    for (std::uint32_t j = 0; j <= kNwBlock; ++j) h_prev[j] = in.top[j];
-    for (std::uint32_t i = 0; i < kNwBlock; ++i) {
-      h_cur[0] = in.left[i];
-      for (std::uint32_t j = 1; j <= kNwBlock; ++j) {
-        const std::int32_t sub =
-            h_prev[j - 1] +
-            (a_buf[i] == b_buf[j - 1] ? kMatch : kMismatch);
-        const std::int32_t del = h_prev[j] + kGap;
-        const std::int32_t ins = h_cur[j - 1] + kGap;
-        h_cur[j] = std::max(sub, std::max(del, ins));
-      }
-      out.right[i] = h_cur[kNwBlock];
-      std::swap_ranges(h_prev.begin(), h_prev.end(), h_cur.begin());
-    }
+    nw_tile(a_buf, b_buf, in.top, in.left, out.bottom, out.right, scratch);
     ctx.exec(std::uint64_t{kNwBlock} * kNwBlock);
-    for (std::uint32_t j = 0; j <= kNwBlock; ++j) out.bottom[j] = h_prev[j];
     std::memcpy(out_buf.data(), &out, sizeof(out));
     ctx.mram_write(out_buf, args.out_off + s * sizeof(NwSlotOut));
   }
@@ -152,7 +155,6 @@ class NwApp final : public PrimApp {
 
     auto in_stage = p.alloc(sizeof(NwSlotIn));
     auto out_stage = p.alloc(sizeof(NwSlotOut));
-    std::int32_t final_score = 0;
 
     // PrIM's NW moves boundaries element-wise: >650k operations of ~160
     // bytes at full scale. We transfer each slot in 160-byte chunks to
@@ -237,30 +239,37 @@ class NwApp final : public PrimApp {
             bottom[idx(bi, bj)].assign(out.bottom,
                                        out.bottom + kNwBlock + 1);
             right[idx(bi, bj)].assign(out.right, out.right + kNwBlock);
-            if (bi == nb - 1 && bj == nb - 1) {
-              final_score = out.bottom[kNwBlock];
-            }
           }
         }
       }
     }
     set.free();
 
-    // CPU reference: full DP over the (n+1)^2 matrix, two rolling rows.
-    std::vector<std::int32_t> prev(n + 1), cur(n + 1);
+    // CPU reference: the whole (n+1)^2 matrix as one tile, so it never
+    // shares the kernel's block decomposition.
+    const std::vector<std::uint8_t> b_rev(b.rbegin(), b.rend());
+    std::vector<std::int32_t> top(n + 1), left(n), last_row(n + 1),
+        last_col(n), scratch(nw_tile_scratch(n, n));
     for (std::uint32_t j = 0; j <= n; ++j) {
-      prev[j] = -static_cast<std::int32_t>(j);
+      top[j] = -static_cast<std::int32_t>(j);
     }
-    for (std::uint32_t i = 1; i <= n; ++i) {
-      cur[0] = -static_cast<std::int32_t>(i);
-      for (std::uint32_t j = 1; j <= n; ++j) {
-        const std::int32_t sub =
-            prev[j - 1] + (a[i - 1] == b[j - 1] ? kMatch : kMismatch);
-        cur[j] = std::max(sub, std::max(prev[j] + kGap, cur[j - 1] + kGap));
-      }
-      std::swap(prev, cur);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      left[i] = -static_cast<std::int32_t>(i + 1);
     }
-    res.correct = (final_score == prev[n]);
+    nw_tile(a, b_rev, top, left, last_row, last_col, scratch);
+    // The kernel's last block row and block column hold the matrix's last
+    // row and column: the reference tile's edges.
+    res.correct = true;
+    for (std::uint32_t k = 0; k < nb; ++k) {
+      const auto row = last_row.begin() + std::uint64_t{k} * kNwBlock;
+      const auto col = last_col.begin() + std::uint64_t{k} * kNwBlock;
+      const auto& kernel_row = bottom[idx(nb - 1, k)];
+      const auto& kernel_col = right[idx(k, nb - 1)];
+      res.correct &= std::equal(kernel_row.begin(), kernel_row.end(), row,
+                                row + kNwBlock + 1) &&
+                     std::equal(kernel_col.begin(), kernel_col.end(), col,
+                                col + kNwBlock);
+    }
     return res;
   }
 };
@@ -395,6 +404,49 @@ class TrnsApp final : public PrimApp {
 };
 
 }  // namespace
+
+void nw_tile(std::span<const std::uint8_t> a,
+             std::span<const std::uint8_t> b_rev,
+             std::span<const std::int32_t> top,
+             std::span<const std::int32_t> left,
+             std::span<std::int32_t> bottom, std::span<std::int32_t> right,
+             std::span<std::int32_t> scratch) {
+  const auto na = static_cast<std::uint32_t>(a.size());
+  const auto nb = static_cast<std::uint32_t>(b_rev.size());
+  VPIM_CHECK(na >= 1 && nb >= 1 && top.size() == nb + 1 &&
+                 left.size() == na && bottom.size() == nb + 1 &&
+                 right.size() == na &&
+                 scratch.size() >= nw_tile_scratch(na, nb),
+             "nw_tile: boundary or scratch does not fit the tile");
+  // Anti-diagonal k holds the cells H[i][k-i]. It lives in the scratch half
+  // of k's parity, with H[i][k-i] at element i - k/2 + nb/2. So each new
+  // cell overwrites its own diagonal neighbour H[i-1][k-i-1], which no
+  // later cell reads, and two diagonals fit in the space of two rows.
+  std::int32_t* const diag[2] = {scratch.data(),
+                                 scratch.data() + nw_tile_scratch(na, nb) / 2};
+  const std::ptrdiff_t mid = nb / 2;
+  diag[0][mid] = top[0];
+  bottom[0] = left[na - 1];
+  for (std::uint32_t k = 1; k <= na + nb; ++k) {
+    // H[i][k-i] is cur[i + at]; H[i][k-1-i] is prev[i + prev_at].
+    std::int32_t* const cur = diag[k % 2];
+    const std::int32_t* const prev = diag[(k + 1) % 2];
+    const std::ptrdiff_t at = mid - k / 2;
+    const std::ptrdiff_t prev_at = mid - (k - 1) / 2;
+    // Interior cells of this diagonal: rows lo..hi.
+    const std::uint32_t lo = k > nb ? k - nb : 1;
+    const std::uint32_t hi = std::min(na, k - 1);
+    if (lo <= hi) {
+      nw_diagonal(cur + (lo + at), prev + (lo - 1 + prev_at),
+                  a.data() + lo - 1, b_rev.data() + (lo + nb - k),
+                  hi - lo + 1);
+    }
+    if (k <= nb) cur[at] = top[k];
+    if (k <= na) cur[k + at] = left[k - 1];
+    if (k > nb) right[k - nb - 1] = cur[k - nb + at];
+    if (k > na) bottom[k - na] = cur[na + at];
+  }
+}
 
 void register_heavy_kernels() {
   auto& registry = KernelRegistry::instance();

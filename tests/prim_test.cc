@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "prim/app.h"
 #include "prim/micro.h"
+#include "prim/nw_tile.h"
 #include "tests/testutil.h"
 #include "vpim/guest_platform.h"
 #include "vpim/host.h"
@@ -129,6 +136,128 @@ TEST(PrimSuite, OptimizationsShrinkNwOverhead) {
   // gain; the full-scale bench (fig14) reproduces the paper's 10.8x.
   EXPECT_GT(static_cast<double>(plain) / static_cast<double>(optimized),
             1.4);
+}
+
+TEST(PrimSuite, NwKernelKeepsNineteenBusyTaskletsInWram) {
+  // 19 x 19 blocks on one DPU: the middle wavefront gives each of 19
+  // tasklets a block, and their WRAM buffers must all fit the heap.
+  AppParams prm = small_params(1);
+  prm.scale = 19.0 / 16.0;
+  prm.nr_tasklets = 19;
+  test::TestRig rig(test::small_machine());
+  const AppResult res = make_app("NW")->run(rig.native, prm);
+  EXPECT_TRUE(res.correct);
+}
+
+// ------------------------------------------------------------ NW tiles
+
+// The plain two-row sweep of the NW recurrence (the CPU reference before
+// nw_tile), over a tile with an arbitrary boundary: the oracle.
+std::pair<std::vector<std::int32_t>, std::vector<std::int32_t>> nw_rows(
+    std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
+    std::span<const std::int32_t> top, std::span<const std::int32_t> left) {
+  const std::size_t n = b.size();
+  std::vector<std::int32_t> prev(top.begin(), top.end()), cur(n + 1);
+  std::vector<std::int32_t> right(a.size());
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    cur[0] = left[i - 1];
+    for (std::size_t j = 1; j <= n; ++j) {
+      const std::int32_t sub =
+          prev[j - 1] + (a[i - 1] == b[j - 1] ? kNwMatch : kNwMismatch);
+      cur[j] = std::max(sub, std::max(prev[j] + kNwGap, cur[j - 1] + kNwGap));
+    }
+    right[i - 1] = cur[n];
+    std::swap(prev, cur);
+  }
+  return {prev, right};
+}
+
+struct NwTileCase {
+  std::vector<std::uint8_t> a, b;
+  std::vector<std::int32_t> top, left;
+};
+
+// Random sequences over NW's four-letter alphabet and a random boundary.
+NwTileCase random_tile(std::uint32_t na, std::uint32_t nb,
+                       std::uint64_t seed) {
+  Rng rng(seed);
+  NwTileCase c{std::vector<std::uint8_t>(na), std::vector<std::uint8_t>(nb),
+               std::vector<std::int32_t>(nb + 1),
+               std::vector<std::int32_t>(na)};
+  for (auto& x : c.a) x = static_cast<std::uint8_t>(rng.uniform('A', 'D'));
+  for (auto& x : c.b) x = static_cast<std::uint8_t>(rng.uniform('A', 'D'));
+  for (auto& v : c.top) v = static_cast<std::int32_t>(rng.uniform(-500, 500));
+  for (auto& v : c.left) {
+    v = static_cast<std::int32_t>(rng.uniform(-500, 500));
+  }
+  return c;
+}
+
+// Runs nw_tile on `c` with scratch full of garbage and edges pre-filled
+// with a sentinel, and checks both edges against the oracle.
+void expect_tile_matches_rows(const NwTileCase& c, std::uint64_t seed) {
+  const auto na = static_cast<std::uint32_t>(c.a.size());
+  const auto nb = static_cast<std::uint32_t>(c.b.size());
+  const std::vector<std::uint8_t> b_rev(c.b.rbegin(), c.b.rend());
+  std::vector<std::int32_t> bottom(nb + 1, 0x7eadbeef);
+  std::vector<std::int32_t> right(na, 0x7eadbeef);
+  std::vector<std::int32_t> scratch(nw_tile_scratch(na, nb));
+  Rng rng(seed ^ 0x5eed);
+  for (auto& v : scratch) {
+    v = static_cast<std::int32_t>(rng.uniform(-1000000, 1000000));
+  }
+  nw_tile(c.a, b_rev, c.top, c.left, bottom, right, scratch);
+  const auto [want_bottom, want_right] = nw_rows(c.a, c.b, c.top, c.left);
+  EXPECT_EQ(bottom, want_bottom) << na << "x" << nb << " seed " << seed;
+  EXPECT_EQ(right, want_right) << na << "x" << nb << " seed " << seed;
+}
+
+TEST(NwTile, MatchesRowSweepOnEdgeAndOddShapes) {
+  const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+      {1, 1},   {1, 2},    {2, 1},    {2, 2},    {1, 57},  {57, 1},
+      {1, 200}, {200, 1},  {3, 5},    {5, 3},    {7, 13},  {17, 9},
+      {31, 33}, {33, 31},  {127, 129}, {129, 127}, {5, 300}, {300, 5}};
+  for (const auto& [na, nb] : shapes) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      expect_tile_matches_rows(random_tile(na, nb, seed * 1000 + na + nb),
+                               seed);
+    }
+  }
+}
+
+TEST(NwTile, MatchesRowSweepOnKernelBlocks) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    expect_tile_matches_rows(random_tile(128, 128, seed), seed);
+  }
+}
+
+TEST(NwTile, MatchesRowSweepOnWholeReferenceMatrix) {
+  // The CPU reference's shape: one 2048 x 2048 tile from the matrix edge.
+  NwTileCase c = random_tile(2048, 2048, 77);
+  for (std::uint32_t j = 0; j < c.top.size(); ++j) {
+    c.top[j] = -static_cast<std::int32_t>(j);
+  }
+  for (std::uint32_t i = 0; i < c.left.size(); ++i) {
+    c.left[i] = -static_cast<std::int32_t>(i + 1);
+  }
+  expect_tile_matches_rows(c, 77);
+  expect_tile_matches_rows(random_tile(2048, 2048, 91), 91);
+}
+
+TEST(NwTile, RejectsBoundaryOrScratchThatDoesNotFit) {
+  const NwTileCase c = random_tile(6, 9, 5);
+  std::vector<std::int32_t> bottom(10), right(6);
+  std::vector<std::int32_t> scratch(nw_tile_scratch(6, 9));
+  EXPECT_NO_THROW(nw_tile(c.a, c.b, c.top, c.left, bottom, right, scratch));
+  EXPECT_THROW(nw_tile(c.a, c.b, c.top, c.left, bottom, right,
+                       std::span(scratch).first(scratch.size() - 1)),
+               VpimError);
+  EXPECT_THROW(nw_tile(c.a, c.b, std::span(c.top).first(9), c.left, bottom,
+                       right, scratch),
+               VpimError);
+  EXPECT_THROW(nw_tile(c.a, c.b, c.top, c.left, bottom,
+                       std::span(right).first(5), scratch),
+               VpimError);
 }
 
 // ------------------------------------------------------- microbenchmarks

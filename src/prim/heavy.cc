@@ -246,7 +246,8 @@ class NwApp final : public PrimApp {
     set.free();
 
     // CPU reference: the whole (n+1)^2 matrix as one tile, so it never
-    // shares the kernel's block decomposition.
+    // shares the kernel's block decomposition. Its sweep checkpoints every
+    // block-boundary row and column of H.
     const std::vector<std::uint8_t> b_rev(b.rbegin(), b.rend());
     std::vector<std::int32_t> top(n + 1), left(n), last_row(n + 1),
         last_col(n), scratch(nw_tile_scratch(n, n));
@@ -256,19 +257,33 @@ class NwApp final : public PrimApp {
     for (std::uint32_t i = 0; i < n; ++i) {
       left[i] = -static_cast<std::int32_t>(i + 1);
     }
-    nw_tile(a, b_rev, top, left, last_row, last_col, scratch);
-    // The kernel's last block row and block column hold the matrix's last
-    // row and column: the reference tile's edges.
+    // The checkpoints take 2 nb n cells (256 KiB at full scale); a buffer
+    // kept per thread spares each run an mmap and its page faults. The
+    // sweep overwrites every cell.
+    thread_local std::vector<std::int32_t> checkpoints;
+    checkpoints.resize(std::uint64_t{nb} * (2 * n + 1));
+    const std::span<std::int32_t> rows =
+        std::span(checkpoints).first(std::uint64_t{nb} * (n + 1));
+    const std::span<std::int32_t> cols =
+        std::span(checkpoints).subspan(rows.size());
+    nw_tile(a, b_rev, top, left, last_row, last_col, scratch,
+            {kNwBlock, rows, cols});
+    // Every block's bottom and right edges are cells of the reference's
+    // checkpoint rows and columns.
     res.correct = true;
-    for (std::uint32_t k = 0; k < nb; ++k) {
-      const auto row = last_row.begin() + std::uint64_t{k} * kNwBlock;
-      const auto col = last_col.begin() + std::uint64_t{k} * kNwBlock;
-      const auto& kernel_row = bottom[idx(nb - 1, k)];
-      const auto& kernel_col = right[idx(k, nb - 1)];
-      res.correct &= std::equal(kernel_row.begin(), kernel_row.end(), row,
-                                row + kNwBlock + 1) &&
-                     std::equal(kernel_col.begin(), kernel_col.end(), col,
-                                col + kNwBlock);
+    for (std::uint32_t bi = 0; bi < nb; ++bi) {
+      for (std::uint32_t bj = 0; bj < nb; ++bj) {
+        const auto row = rows.begin() + std::uint64_t{bi} * (n + 1) +
+                         std::uint64_t{bj} * kNwBlock;
+        const auto col = cols.begin() + std::uint64_t{bj} * n +
+                         std::uint64_t{bi} * kNwBlock;
+        const auto& kernel_row = bottom[idx(bi, bj)];
+        const auto& kernel_col = right[idx(bi, bj)];
+        res.correct &= std::equal(kernel_row.begin(), kernel_row.end(), row,
+                                  row + kNwBlock + 1) &&
+                       std::equal(kernel_col.begin(), kernel_col.end(), col,
+                                  col + kNwBlock);
+      }
     }
     return res;
   }
@@ -410,7 +425,8 @@ void nw_tile(std::span<const std::uint8_t> a,
              std::span<const std::int32_t> top,
              std::span<const std::int32_t> left,
              std::span<std::int32_t> bottom, std::span<std::int32_t> right,
-             std::span<std::int32_t> scratch) {
+             std::span<std::int32_t> scratch,
+             const NwCheckpoints& checkpoints) {
   const auto na = static_cast<std::uint32_t>(a.size());
   const auto nb = static_cast<std::uint32_t>(b_rev.size());
   VPIM_CHECK(na >= 1 && nb >= 1 && top.size() == nb + 1 &&
@@ -418,6 +434,11 @@ void nw_tile(std::span<const std::uint8_t> a,
                  right.size() == na &&
                  scratch.size() >= nw_tile_scratch(na, nb),
              "nw_tile: boundary or scratch does not fit the tile");
+  const std::uint32_t s = checkpoints.stride;
+  VPIM_CHECK(s == 0 || (checkpoints.rows.size() ==
+                            std::size_t{na / s} * (nb + 1) &&
+                        checkpoints.cols.size() == std::size_t{nb / s} * na),
+             "nw_tile: checkpoints do not fit the tile");
   // Anti-diagonal k holds the cells H[i][k-i]. It lives in the scratch half
   // of k's parity, with H[i][k-i] at element i - k/2 + nb/2. So each new
   // cell overwrites its own diagonal neighbour H[i-1][k-i-1], which no
@@ -445,6 +466,21 @@ void nw_tile(std::span<const std::uint8_t> a,
     if (k <= na) cur[k + at] = left[k - 1];
     if (k > nb) right[k - nb - 1] = cur[k - nb + at];
     if (k > na) bottom[k - na] = cur[na + at];
+    if (s == 0) continue;
+    // Checkpoint rows i = s*r crossing this diagonal at column k - i in
+    // [0, nb], and checkpoint columns j = s*c at row k - j in [1, na].
+    const std::uint32_t row_lo = k > nb ? k - nb : 1;
+    for (std::uint32_t i = (row_lo + s - 1) / s * s; i <= std::min(na, k);
+         i += s) {
+      checkpoints.rows[std::size_t{i / s - 1} * (nb + 1) + (k - i)] =
+          cur[i + at];
+    }
+    const std::uint32_t col_lo = k > na ? k - na : 1;
+    for (std::uint32_t j = (col_lo + s - 1) / s * s;
+         j <= std::min(nb, k - 1); j += s) {
+      checkpoints.cols[std::size_t{j / s - 1} * na + (k - j - 1)] =
+          cur[k - j + at];
+    }
   }
 }
 

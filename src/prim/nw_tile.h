@@ -27,11 +27,23 @@ constexpr std::size_t nw_tile_scratch(std::uint32_t na, std::uint32_t nb) {
 // reversed. The sweep goes by anti-diagonals, whose cells are independent,
 // so the inner loop runs over contiguous a, b_rev and diagonal elements and
 // vectorizes. `scratch` holds at least nw_tile_scratch(na, nb) elements.
+//
+// With stride s > 0, the sweep also copies out every s-th row and column:
+// rows receives H[s*r][0..nb] for r = 1..na/s, nb + 1 cells each, and cols
+// receives H[1..na][s*c] for c = 1..nb/s, na cells each. Each anti-diagonal
+// crosses each of them once.
+struct NwCheckpoints {
+  std::uint32_t stride = 0;
+  std::span<std::int32_t> rows;
+  std::span<std::int32_t> cols;
+};
+
 void nw_tile(std::span<const std::uint8_t> a,
              std::span<const std::uint8_t> b_rev,
              std::span<const std::int32_t> top,
              std::span<const std::int32_t> left,
              std::span<std::int32_t> bottom, std::span<std::int32_t> right,
-             std::span<std::int32_t> scratch);
+             std::span<std::int32_t> scratch,
+             const NwCheckpoints& checkpoints = {});
 
 }  // namespace vpim::prim

@@ -244,6 +244,59 @@ TEST(NwTile, MatchesRowSweepOnWholeReferenceMatrix) {
   expect_tile_matches_rows(random_tile(2048, 2048, 91), 91);
 }
 
+// The whole matrix H[0..na][0..nb] of the tile, row-major, by the same
+// plain recurrence as nw_rows.
+std::vector<std::int32_t> nw_matrix(const NwTileCase& c) {
+  const std::size_t na = c.a.size(), nb = c.b.size();
+  std::vector<std::int32_t> h((na + 1) * (nb + 1));
+  auto at = [&](std::size_t i, std::size_t j) -> std::int32_t& {
+    return h[i * (nb + 1) + j];
+  };
+  for (std::size_t j = 0; j <= nb; ++j) at(0, j) = c.top[j];
+  for (std::size_t i = 1; i <= na; ++i) {
+    at(i, 0) = c.left[i - 1];
+    for (std::size_t j = 1; j <= nb; ++j) {
+      const std::int32_t sub = at(i - 1, j - 1) +
+                               (c.a[i - 1] == c.b[j - 1] ? kNwMatch
+                                                         : kNwMismatch);
+      at(i, j) = std::max(
+          sub, std::max(at(i - 1, j) + kNwGap, at(i, j - 1) + kNwGap));
+    }
+  }
+  return h;
+}
+
+TEST(NwTile, CheckpointsAreEveryStrideRowAndColumn) {
+  const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+      {1, 1}, {1, 9}, {9, 1}, {5, 3}, {17, 9}, {128, 128}, {300, 257}};
+  for (const auto& [na, nb] : shapes) {
+    const NwTileCase c = random_tile(na, nb, na * 31 + nb);
+    const std::vector<std::int32_t> h = nw_matrix(c);
+    const std::vector<std::uint8_t> b_rev(c.b.rbegin(), c.b.rend());
+    for (std::uint32_t s : {1u, 2u, 3u, 7u, 128u}) {
+      std::vector<std::int32_t> bottom(nb + 1), right(na);
+      std::vector<std::int32_t> scratch(nw_tile_scratch(na, nb));
+      std::vector<std::int32_t> rows(std::size_t{na / s} * (nb + 1),
+                                     0x7eadbeef),
+          cols(std::size_t{nb / s} * na, 0x7eadbeef);
+      nw_tile(c.a, b_rev, c.top, c.left, bottom, right, scratch,
+              {s, rows, cols});
+      std::vector<std::int32_t> want_rows, want_cols;
+      for (std::size_t i = s; i <= na; i += s) {
+        const auto row = h.begin() + i * (nb + 1);
+        want_rows.insert(want_rows.end(), row, row + nb + 1);
+      }
+      for (std::size_t j = s; j <= nb; j += s) {
+        for (std::size_t i = 1; i <= na; ++i) {
+          want_cols.push_back(h[i * (nb + 1) + j]);
+        }
+      }
+      EXPECT_EQ(rows, want_rows) << na << "x" << nb << " stride " << s;
+      EXPECT_EQ(cols, want_cols) << na << "x" << nb << " stride " << s;
+    }
+  }
+}
+
 TEST(NwTile, RejectsBoundaryOrScratchThatDoesNotFit) {
   const NwTileCase c = random_tile(6, 9, 5);
   std::vector<std::int32_t> bottom(10), right(6);
@@ -257,6 +310,16 @@ TEST(NwTile, RejectsBoundaryOrScratchThatDoesNotFit) {
                VpimError);
   EXPECT_THROW(nw_tile(c.a, c.b, c.top, c.left, bottom,
                        std::span(right).first(5), scratch),
+               VpimError);
+  // Stride 2 over 6 x 9: three rows of 10 cells, four columns of 6.
+  std::vector<std::int32_t> rows(30), cols(24);
+  EXPECT_NO_THROW(nw_tile(c.a, c.b, c.top, c.left, bottom, right, scratch,
+                          {2, rows, cols}));
+  EXPECT_THROW(nw_tile(c.a, c.b, c.top, c.left, bottom, right, scratch,
+                       {2, std::span(rows).first(29), cols}),
+               VpimError);
+  EXPECT_THROW(nw_tile(c.a, c.b, c.top, c.left, bottom, right, scratch,
+                       {3, rows, cols}),
                VpimError);
 }
 

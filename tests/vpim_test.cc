@@ -428,5 +428,47 @@ TEST(VpimVm, RustConfigSlowerThanC) {
   EXPECT_GT(static_cast<double>(rust) / static_cast<double>(c), 2.0);
 }
 
+// The paper's anchors outside its figures, on the full default machine
+// and cost model: §3.2 boot time per vUPMEM device, §4.1 frontend memory
+// per DPU, §4.2 manager allocation round trip and rank reset.
+TEST(PaperAnchors, BootFrontendMemoryAllocationAndReset) {
+  {
+    Host host;
+    VpimVm plain(host, {.name = "plain"}, 0);
+    VpimVm with_dev(host, {.name = "dev"}, 1);
+    EXPECT_EQ(with_dev.boot_duration() - plain.boot_duration(),
+              SimNs{2'000'000});  // paper: up to 2 ms
+  }
+  {
+    Host host;
+    VpimVm vm(host, {.name = "vm"}, 1);
+    Frontend& fe = vm.device(0).frontend;
+    ASSERT_TRUE(fe.open());
+    // Page lists 128 KiB + cache 64 KiB + batch 256 KiB per DPU, plus
+    // fixed staging: 0.44 MiB for each of the rank's 64 DPUs, against the
+    // paper's 1.37 MB/DPU bound.
+    EXPECT_EQ(fe.memory_overhead_bytes(), std::uint64_t{29'371'064});
+  }
+  {
+    Host host;
+    const SimNs t0 = host.clock.now();
+    ASSERT_TRUE(host.manager.request_rank("vm").has_value());
+    EXPECT_EQ(host.clock.now() - t0, SimNs{36'000'000});  // paper: ~36 ms
+  }
+  {
+    Host host;
+    auto rank = host.manager.request_rank("vm");
+    ASSERT_TRUE(rank.has_value());
+    {
+      auto mapping = host.drv.map_rank(*rank, "vm");
+      host.manager.observe();
+    }
+    host.manager.observe(/*do_resets=*/false);
+    const SimNs t0 = host.clock.now();
+    host.manager.observe(/*do_resets=*/true);
+    EXPECT_EQ(host.clock.now() - t0, SimNs{596'523'235});  // paper: ~597 ms
+  }
+}
+
 }  // namespace
 }  // namespace vpim::core
